@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <new>
+#include <optional>
 #include <stdexcept>
 
 #include "isa/semantics.hpp"
@@ -28,6 +29,7 @@ void Device::reset() {
             global_.begin() + static_cast<std::ptrdiff_t>(touched_high_), 0u);
   touched_high_ = 0;
   alloc_watermark_ = 0;
+  ctas_run_ = 0;
 }
 
 std::uint32_t Device::read_word(std::uint32_t addr) const {
@@ -123,319 +125,61 @@ class Trap : public std::runtime_error {
 
 }  // namespace
 
+/// Lane slabs of the SoA interpreter (see run_cta_soa), allocated once per
+/// launch and re-zeroed per CTA. Slabs are 32-wide even for a partial tail
+/// warp; lanes past tpc never enter an active mask, and their garbage results
+/// are discarded by the execution mask.
+struct Device::SoaSlabs {
+  explicit SoaSlabs(unsigned n_warps)
+      : regs(static_cast<std::size_t>(n_warps) * isa::kNumRegs * kWarpSize),
+        preds(static_cast<std::size_t>(n_warps) * isa::kNumPreds * kWarpSize),
+        warps(n_warps) {}
+  std::vector<std::uint32_t> regs;
+  std::vector<std::uint8_t> preds;
+  std::vector<std::uint32_t> shared;
+  std::vector<Warp> warps;
+};
+
+// The CTA loop both interpreters share. CTAs run one at a time, and every
+// CTA starts from zeroed registers, predicates and shared memory, so the
+// only state one CTA hands the next is global memory (plus the retired
+// count). That is what makes a golden tape exact: a replayed CTA leaves the
+// device exactly as executing it would have.
 LaunchResult Device::launch(const isa::Program& prog, const LaunchDims& dims,
                             const LaunchConfig& cfg) {
-  return interp_ == Interpreter::Scalar ? launch_scalar(prog, dims, cfg)
-                                        : launch_soa(prog, dims, cfg);
-}
-
-LaunchResult Device::launch_scalar(const isa::Program& prog,
-                                   const LaunchDims& dims,
-                                   const LaunchConfig& cfg) {
   LaunchResult result;
   const unsigned tpc = dims.threads_per_cta();
   if (tpc == 0 || dims.ctas() == 0) return result;
-  const auto code_size = static_cast<std::int32_t>(prog.code.size());
+  std::optional<SoaSlabs> slabs;
+  if (interp_ == Interpreter::SoA)
+    slabs.emplace((tpc + kWarpSize - 1) / kWarpSize);
   std::uint64_t retired = 0;
 
   try {
     for (unsigned cta = 0; cta < dims.ctas(); ++cta) {
-      CtaContext ctx;
-      ctx.cta_index = cta;
-      ctx.cta_x = cta % dims.grid_x;
-      ctx.cta_y = cta / dims.grid_x;
-      ctx.dims = dims;
-      ctx.regs.assign(static_cast<std::size_t>(tpc) * isa::kNumRegs, 0);
-      ctx.preds.assign(static_cast<std::size_t>(tpc) * isa::kNumPreds, 0);
-      ctx.shared.assign(prog.shared_words, 0);
-      const unsigned warps = (tpc + kWarpSize - 1) / kWarpSize;
-      ctx.warps.resize(warps);
-      for (unsigned w = 0; w < warps; ++w) {
-        const unsigned lo = w * kWarpSize;
-        const unsigned hi = std::min(tpc, lo + kWarpSize);
-        std::uint32_t mask = 0;
-        for (unsigned t = lo; t < hi; ++t) mask |= 1u << (t - lo);
-        ctx.warps[w].stack.push_back(StackEntry{0, -1, mask});
+      const std::size_t run_cta = ctas_run_++;
+      InstrumentHook* const hook =
+          cfg.hook && !cfg.hook->done() ? cfg.hook : nullptr;
+      if (hook && hook->on_cta(run_cta) && replaying_ &&
+          run_cta < replaying_->ctas.size()) {
+        const auto& tape = replaying_->ctas;
+        const std::size_t first =
+            run_cta == 0 ? 0 : tape[run_cta - 1].stores_end;
+        for (std::size_t i = first; i < tape[run_cta].stores_end; ++i)
+          store_global(replaying_->stores[i].first,
+                       replaying_->stores[i].second);
+        retired = tape[run_cta].retired;
+      } else if (slabs) {
+        run_cta_soa(prog, dims, cfg, cta, retired, *slabs);
+      } else {
+        run_cta_scalar(prog, dims, cfg, cta, retired);
       }
-
-      auto resolve = [&](const Operand& op, unsigned tid) -> std::uint32_t {
-        switch (op.kind) {
-          case OperandKind::Reg:
-            return ctx.reg(tid, op.value & (isa::kNumRegs - 1));
-          case OperandKind::Imm:
-            return op.value;
-          case OperandKind::Special:
-            switch (static_cast<isa::SReg>(op.value)) {
-              case isa::SReg::TID_X: return tid % dims.block_x;
-              case isa::SReg::TID_Y: return tid / dims.block_x;
-              case isa::SReg::NTID_X: return dims.block_x;
-              case isa::SReg::NTID_Y: return dims.block_y;
-              case isa::SReg::CTAID_X: return ctx.cta_x;
-              case isa::SReg::CTAID_Y: return ctx.cta_y;
-              case isa::SReg::NCTAID_X: return dims.grid_x;
-              case isa::SReg::NCTAID_Y: return dims.grid_y;
-              case isa::SReg::LANEID: return tid % kWarpSize;
-              default: {
-                const auto p = static_cast<unsigned>(op.value) -
-                               static_cast<unsigned>(isa::SReg::PARAM0);
-                return prog.params[p % isa::kNumParams];
-              }
-            }
-            return 0;
-          case OperandKind::None:
-            return 0;
-        }
-        return 0;
-      };
-
-      // Round-robin, one instruction per warp per turn: deterministic and
-      // fair, and barriers release exactly when every live warp arrives.
-      bool all_done = false;
-      while (!all_done) {
-        bool progressed = false;
-        all_done = true;
-        for (unsigned w = 0; w < warps; ++w) {
-          Warp& warp = ctx.warps[w];
-          if (warp.done) continue;
-          all_done = false;
-          if (warp.at_barrier) continue;
-          progressed = true;
-
-          StackEntry& top = warp.stack.back();
-          const std::int32_t pc = top.pc;
-          if (pc < 0 || pc >= code_size) throw Trap("invalid PC");
-          const Instr& instr = prog.code[pc];
-          // A spent one-shot hook drops the rest of the launch to the
-          // unhooked fast path (results are identical either way).
-          InstrumentHook* const hook =
-              cfg.hook && !cfg.hook->done() ? cfg.hook : nullptr;
-
-          // Per-thread guard evaluation.
-          std::uint32_t exec = 0;
-          for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-            if (!(top.mask & (1u << lane))) continue;
-            const unsigned tid = w * kWarpSize + lane;
-            bool on = true;
-            if (instr.pred >= 0) {
-              on = ctx.pred(tid, static_cast<unsigned>(instr.pred) &
-                                     (isa::kNumPreds - 1)) != 0;
-              if (instr.pred_neg) on = !on;
-            }
-            if (on) exec |= 1u << lane;
-          }
-
-          // Retirement accounting + profiling hook (all participating
-          // threads, guarded-off threads do not retire).
-          auto count_retired = [&](std::uint32_t mask) {
-            if (!hook) {
-              retired += static_cast<unsigned>(std::popcount(mask));
-              return;
-            }
-            for (std::uint32_t m = mask; m; m &= m - 1) {
-              const unsigned lane =
-                  static_cast<unsigned>(std::countr_zero(m));
-              ++retired;
-              RetireInfo info;
-              info.instr = &instr;
-              info.pc = pc;
-              info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
-              info.dyn_index = retired - 1;
-              hook->on_count(info);
-            }
-          };
-
-          switch (instr.op) {
-            case Opcode::BRA: {
-              count_retired(exec);
-              const std::uint32_t not_taken = top.mask & ~exec;
-              if (not_taken == 0) {
-                if (instr.target < 0) throw Trap("BRA without target");
-                top.pc = instr.target;
-              } else if (exec == 0) {
-                top.pc = pc + 1;
-              } else {
-                if (instr.reconv < 0)
-                  throw Trap("divergent BRA without reconvergence point");
-                if (warp.stack.size() + 2 > kMaxStackDepth)
-                  throw Trap("SIMT stack overflow");
-                top.pc = instr.reconv;  // merged continuation
-                warp.stack.push_back(
-                    StackEntry{pc + 1, instr.reconv, not_taken});
-                warp.stack.push_back(
-                    StackEntry{instr.target, instr.reconv, exec});
-              }
-              break;
-            }
-            case Opcode::EXIT: {
-              count_retired(exec);
-              for (auto& entry : warp.stack) entry.mask &= ~exec;
-              // Remaining guarded-off threads continue past the EXIT.
-              top.pc = pc + 1;
-              break;
-            }
-            case Opcode::BAR: {
-              count_retired(exec);
-              warp.at_barrier = true;
-              top.pc = pc + 1;
-              break;
-            }
-            case Opcode::NOP: {
-              count_retired(exec);
-              top.pc = pc + 1;
-              break;
-            }
-            case Opcode::ISETP:
-            case Opcode::FSETP: {
-              for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-                if (!(exec & (1u << lane))) continue;
-                const unsigned tid = w * kWarpSize + lane;
-                const std::uint32_t a = resolve(instr.a, tid);
-                const std::uint32_t b = resolve(instr.b, tid);
-                bool v = instr.op == Opcode::ISETP
-                             ? isa::cmp_eval_i(instr.cmp, a, b)
-                             : isa::cmp_eval_f(instr.cmp, a, b);
-                ++retired;
-                if (hook) {
-                  RetireInfo info;
-                  info.instr = &instr;
-                  info.pc = pc;
-                  info.thread = ThreadId{cta, w, lane, tid};
-                  info.dyn_index = retired - 1;
-                  info.a = a;
-                  info.b = b;
-                  hook->on_count(info);
-                  hook->on_pred_retire(info, v);
-                }
-                ctx.pred(tid, instr.dst & (isa::kNumPreds - 1)) = v ? 1 : 0;
-              }
-              top.pc = pc + 1;
-              break;
-            }
-            case Opcode::GLD:
-            case Opcode::GST:
-            case Opcode::LDS:
-            case Opcode::STS: {
-              const bool is_load =
-                  instr.op == Opcode::GLD || instr.op == Opcode::LDS;
-              const bool is_global =
-                  instr.op == Opcode::GLD || instr.op == Opcode::GST;
-              for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-                if (!(exec & (1u << lane))) continue;
-                const unsigned tid = w * kWarpSize + lane;
-                const std::uint32_t base = resolve(instr.a, tid);
-                std::uint32_t addr =
-                    base + static_cast<std::uint32_t>(instr.imm);
-                const std::size_t limit =
-                    is_global ? global_.size() : ctx.shared.size();
-                if (addr >= limit) {
-                  if (!cfg.oob_wraps || limit == 0)
-                    throw Trap("out-of-bounds memory access");
-                  addr = static_cast<std::uint32_t>(addr % limit);
-                }
-                std::uint32_t value;
-                if (is_load) {
-                  value = is_global ? global_[addr] : ctx.shared[addr];
-                } else {
-                  value = resolve(instr.b, tid);
-                }
-                ++retired;
-                if (hook) {
-                  RetireInfo info;
-                  info.instr = &instr;
-                  info.pc = pc;
-                  info.thread = ThreadId{cta, w, lane, tid};
-                  info.dyn_index = retired - 1;
-                  info.a = base;
-                  info.b = value;
-                  hook->on_count(info);
-                  if (is_load) hook->on_retire(info, value);
-                }
-                if (is_load) {
-                  ctx.reg(tid, instr.dst & (isa::kNumRegs - 1)) = value;
-                } else if (is_global) {
-                  global_[addr] = value;
-                  touch(static_cast<std::size_t>(addr) + 1);
-                } else {
-                  ctx.shared[addr] = value;
-                }
-              }
-              top.pc = pc + 1;
-              break;
-            }
-            default: {  // data-processing instructions
-              for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-                if (!(exec & (1u << lane))) continue;
-                const unsigned tid = w * kWarpSize + lane;
-                const std::uint32_t a = resolve(instr.a, tid);
-                const std::uint32_t b = resolve(instr.b, tid);
-                std::uint32_t c = 0;
-                bool c_pred = false;
-                if (instr.op == Opcode::SEL) {
-                  c_pred = ctx.pred(tid, instr.c.value &
-                                             (isa::kNumPreds - 1)) != 0;
-                } else {
-                  c = resolve(instr.c, tid);
-                }
-                std::uint32_t value =
-                    isa::alu_result(instr.op, a, b, c, c_pred);
-                ++retired;
-                if (hook) {
-                  RetireInfo info;
-                  info.instr = &instr;
-                  info.pc = pc;
-                  info.thread = ThreadId{cta, w, lane, tid};
-                  info.dyn_index = retired - 1;
-                  info.a = a;
-                  info.b = b;
-                  info.c = c;
-                  hook->on_count(info);
-                  hook->on_retire(info, value);
-                }
-                ctx.reg(tid, instr.dst & (isa::kNumRegs - 1)) = value;
-              }
-              top.pc = pc + 1;
-              break;
-            }
-          }
-
-          // Merge completed divergence regions and retire empty entries.
-          while (!warp.stack.empty()) {
-            StackEntry& t = warp.stack.back();
-            if (t.mask == 0 || (t.rpc >= 0 && t.pc == t.rpc)) {
-              // An emptied base entry means every thread exited.
-              if (warp.stack.size() == 1 && t.mask != 0) break;
-              warp.stack.pop_back();
-            } else {
-              break;
-            }
-          }
-          if (warp.stack.empty() || warp.stack.back().mask == 0) {
-            warp.done = true;
-          }
-
-          if (retired > cfg.max_retired) {
-            result.status = LaunchStatus::Timeout;
-            result.retired = retired;
-            return result;
-          }
-        }
-
-        // Barrier release: every live warp has arrived.
-        if (!all_done && !progressed) {
-          bool any_waiting = false;
-          for (auto& warp : ctx.warps)
-            any_waiting |= !warp.done && warp.at_barrier;
-          if (!any_waiting) throw Trap("scheduler deadlock");
-          for (auto& warp : ctx.warps) warp.at_barrier = false;
-        } else if (!all_done) {
-          // If all non-done warps are at the barrier, release them.
-          bool all_at_bar = true;
-          for (auto& warp : ctx.warps)
-            if (!warp.done && !warp.at_barrier) all_at_bar = false;
-          if (all_at_bar)
-            for (auto& warp : ctx.warps) warp.at_barrier = false;
-        }
+      if (retired > cfg.max_retired) {
+        result.status = LaunchStatus::Timeout;
+        break;
       }
+      if (recording_) recording_->ctas.push_back({recording_->stores.size(),
+                                                  retired});
     }
   } catch (const Trap& t) {
     result.status = LaunchStatus::Trap;
@@ -443,6 +187,305 @@ LaunchResult Device::launch_scalar(const isa::Program& prog,
   }
   result.retired = retired;
   return result;
+}
+
+void Device::run_cta_scalar(const isa::Program& prog, const LaunchDims& dims,
+                            const LaunchConfig& cfg, unsigned cta,
+                            std::uint64_t& retired) {
+  const unsigned tpc = dims.threads_per_cta();
+  const auto code_size = static_cast<std::int32_t>(prog.code.size());
+  const std::uint64_t max_retired = cfg.max_retired;
+  CtaContext ctx;
+  ctx.cta_index = cta;
+  ctx.cta_x = cta % dims.grid_x;
+  ctx.cta_y = cta / dims.grid_x;
+  ctx.dims = dims;
+  ctx.regs.assign(static_cast<std::size_t>(tpc) * isa::kNumRegs, 0);
+  ctx.preds.assign(static_cast<std::size_t>(tpc) * isa::kNumPreds, 0);
+  ctx.shared.assign(prog.shared_words, 0);
+  const unsigned warps = (tpc + kWarpSize - 1) / kWarpSize;
+  ctx.warps.resize(warps);
+  for (unsigned w = 0; w < warps; ++w) {
+    const unsigned lo = w * kWarpSize;
+    const unsigned hi = std::min(tpc, lo + kWarpSize);
+    std::uint32_t mask = 0;
+    for (unsigned t = lo; t < hi; ++t) mask |= 1u << (t - lo);
+    ctx.warps[w].stack.push_back(StackEntry{0, -1, mask});
+  }
+
+  auto resolve = [&](const Operand& op, unsigned tid) -> std::uint32_t {
+    switch (op.kind) {
+      case OperandKind::Reg:
+        return ctx.reg(tid, op.value & (isa::kNumRegs - 1));
+      case OperandKind::Imm:
+        return op.value;
+      case OperandKind::Special:
+        switch (static_cast<isa::SReg>(op.value)) {
+          case isa::SReg::TID_X: return tid % dims.block_x;
+          case isa::SReg::TID_Y: return tid / dims.block_x;
+          case isa::SReg::NTID_X: return dims.block_x;
+          case isa::SReg::NTID_Y: return dims.block_y;
+          case isa::SReg::CTAID_X: return ctx.cta_x;
+          case isa::SReg::CTAID_Y: return ctx.cta_y;
+          case isa::SReg::NCTAID_X: return dims.grid_x;
+          case isa::SReg::NCTAID_Y: return dims.grid_y;
+          case isa::SReg::LANEID: return tid % kWarpSize;
+          default: {
+            const auto p = static_cast<unsigned>(op.value) -
+                           static_cast<unsigned>(isa::SReg::PARAM0);
+            return prog.params[p % isa::kNumParams];
+          }
+        }
+        return 0;
+      case OperandKind::None:
+        return 0;
+    }
+    return 0;
+  };
+
+  // Round-robin, one instruction per warp per turn: deterministic and
+  // fair, and barriers release exactly when every live warp arrives.
+  bool all_done = false;
+  while (!all_done) {
+    bool progressed = false;
+    all_done = true;
+    for (unsigned w = 0; w < warps; ++w) {
+      Warp& warp = ctx.warps[w];
+      if (warp.done) continue;
+      all_done = false;
+      if (warp.at_barrier) continue;
+      progressed = true;
+
+      StackEntry& top = warp.stack.back();
+      const std::int32_t pc = top.pc;
+      if (pc < 0 || pc >= code_size) throw Trap("invalid PC");
+      const Instr& instr = prog.code[pc];
+      // A spent one-shot hook drops the rest of the launch to the
+      // unhooked fast path (results are identical either way).
+      InstrumentHook* const hook =
+          cfg.hook && !cfg.hook->done() ? cfg.hook : nullptr;
+
+      // Per-thread guard evaluation.
+      std::uint32_t exec = 0;
+      for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+        if (!(top.mask & (1u << lane))) continue;
+        const unsigned tid = w * kWarpSize + lane;
+        bool on = true;
+        if (instr.pred >= 0) {
+          on = ctx.pred(tid, static_cast<unsigned>(instr.pred) &
+                                 (isa::kNumPreds - 1)) != 0;
+          if (instr.pred_neg) on = !on;
+        }
+        if (on) exec |= 1u << lane;
+      }
+
+      // Retirement accounting + profiling hook (all participating
+      // threads, guarded-off threads do not retire).
+      auto count_retired = [&](std::uint32_t mask) {
+        if (!hook) {
+          retired += static_cast<unsigned>(std::popcount(mask));
+          return;
+        }
+        for (std::uint32_t m = mask; m; m &= m - 1) {
+          const unsigned lane =
+              static_cast<unsigned>(std::countr_zero(m));
+          ++retired;
+          RetireInfo info;
+          info.instr = &instr;
+          info.pc = pc;
+          info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
+          info.dyn_index = retired - 1;
+          hook->on_count(info);
+        }
+      };
+
+      switch (instr.op) {
+        case Opcode::BRA: {
+          count_retired(exec);
+          const std::uint32_t not_taken = top.mask & ~exec;
+          if (not_taken == 0) {
+            if (instr.target < 0) throw Trap("BRA without target");
+            top.pc = instr.target;
+          } else if (exec == 0) {
+            top.pc = pc + 1;
+          } else {
+            if (instr.reconv < 0)
+              throw Trap("divergent BRA without reconvergence point");
+            if (warp.stack.size() + 2 > kMaxStackDepth)
+              throw Trap("SIMT stack overflow");
+            top.pc = instr.reconv;  // merged continuation
+            warp.stack.push_back(
+                StackEntry{pc + 1, instr.reconv, not_taken});
+            warp.stack.push_back(
+                StackEntry{instr.target, instr.reconv, exec});
+          }
+          break;
+        }
+        case Opcode::EXIT: {
+          count_retired(exec);
+          for (auto& entry : warp.stack) entry.mask &= ~exec;
+          // Remaining guarded-off threads continue past the EXIT.
+          top.pc = pc + 1;
+          break;
+        }
+        case Opcode::BAR: {
+          count_retired(exec);
+          warp.at_barrier = true;
+          top.pc = pc + 1;
+          break;
+        }
+        case Opcode::NOP: {
+          count_retired(exec);
+          top.pc = pc + 1;
+          break;
+        }
+        case Opcode::ISETP:
+        case Opcode::FSETP: {
+          for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+            if (!(exec & (1u << lane))) continue;
+            const unsigned tid = w * kWarpSize + lane;
+            const std::uint32_t a = resolve(instr.a, tid);
+            const std::uint32_t b = resolve(instr.b, tid);
+            bool v = instr.op == Opcode::ISETP
+                         ? isa::cmp_eval_i(instr.cmp, a, b)
+                         : isa::cmp_eval_f(instr.cmp, a, b);
+            ++retired;
+            if (hook) {
+              RetireInfo info;
+              info.instr = &instr;
+              info.pc = pc;
+              info.thread = ThreadId{cta, w, lane, tid};
+              info.dyn_index = retired - 1;
+              info.a = a;
+              info.b = b;
+              hook->on_count(info);
+              hook->on_pred_retire(info, v);
+            }
+            ctx.pred(tid, instr.dst & (isa::kNumPreds - 1)) = v ? 1 : 0;
+          }
+          top.pc = pc + 1;
+          break;
+        }
+        case Opcode::GLD:
+        case Opcode::GST:
+        case Opcode::LDS:
+        case Opcode::STS: {
+          const bool is_load =
+              instr.op == Opcode::GLD || instr.op == Opcode::LDS;
+          const bool is_global =
+              instr.op == Opcode::GLD || instr.op == Opcode::GST;
+          for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+            if (!(exec & (1u << lane))) continue;
+            const unsigned tid = w * kWarpSize + lane;
+            const std::uint32_t base = resolve(instr.a, tid);
+            std::uint32_t addr =
+                base + static_cast<std::uint32_t>(instr.imm);
+            const std::size_t limit =
+                is_global ? global_.size() : ctx.shared.size();
+            if (addr >= limit) {
+              if (!cfg.oob_wraps || limit == 0)
+                throw Trap("out-of-bounds memory access");
+              addr = static_cast<std::uint32_t>(addr % limit);
+            }
+            std::uint32_t value;
+            if (is_load) {
+              value = is_global ? global_[addr] : ctx.shared[addr];
+            } else {
+              value = resolve(instr.b, tid);
+            }
+            ++retired;
+            if (hook) {
+              RetireInfo info;
+              info.instr = &instr;
+              info.pc = pc;
+              info.thread = ThreadId{cta, w, lane, tid};
+              info.dyn_index = retired - 1;
+              info.a = base;
+              info.b = value;
+              hook->on_count(info);
+              if (is_load) hook->on_retire(info, value);
+            }
+            if (is_load) {
+              ctx.reg(tid, instr.dst & (isa::kNumRegs - 1)) = value;
+            } else if (is_global) {
+              store_global(addr, value);
+            } else {
+              ctx.shared[addr] = value;
+            }
+          }
+          top.pc = pc + 1;
+          break;
+        }
+        default: {  // data-processing instructions
+          for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+            if (!(exec & (1u << lane))) continue;
+            const unsigned tid = w * kWarpSize + lane;
+            const std::uint32_t a = resolve(instr.a, tid);
+            const std::uint32_t b = resolve(instr.b, tid);
+            std::uint32_t c = 0;
+            bool c_pred = false;
+            if (instr.op == Opcode::SEL) {
+              c_pred = ctx.pred(tid, instr.c.value &
+                                         (isa::kNumPreds - 1)) != 0;
+            } else {
+              c = resolve(instr.c, tid);
+            }
+            std::uint32_t value =
+                isa::alu_result(instr.op, a, b, c, c_pred);
+            ++retired;
+            if (hook) {
+              RetireInfo info;
+              info.instr = &instr;
+              info.pc = pc;
+              info.thread = ThreadId{cta, w, lane, tid};
+              info.dyn_index = retired - 1;
+              info.a = a;
+              info.b = b;
+              info.c = c;
+              hook->on_count(info);
+              hook->on_retire(info, value);
+            }
+            ctx.reg(tid, instr.dst & (isa::kNumRegs - 1)) = value;
+          }
+          top.pc = pc + 1;
+          break;
+        }
+      }
+
+      // Merge completed divergence regions and retire empty entries.
+      while (!warp.stack.empty()) {
+        StackEntry& t = warp.stack.back();
+        if (t.mask == 0 || (t.rpc >= 0 && t.pc == t.rpc)) {
+          // An emptied base entry means every thread exited.
+          if (warp.stack.size() == 1 && t.mask != 0) break;
+          warp.stack.pop_back();
+        } else {
+          break;
+        }
+      }
+      if (warp.stack.empty() || warp.stack.back().mask == 0) {
+        warp.done = true;
+      }
+
+      if (retired > max_retired) return;  // watchdog
+    }
+
+    // Barrier release: every live warp has arrived.
+    if (!all_done && !progressed) {
+      bool any_waiting = false;
+      for (auto& warp : ctx.warps)
+        any_waiting |= !warp.done && warp.at_barrier;
+      if (!any_waiting) throw Trap("scheduler deadlock");
+      for (auto& warp : ctx.warps) warp.at_barrier = false;
+    } else if (!all_done) {
+      // If all non-done warps are at the barrier, release them.
+      bool all_at_bar = true;
+      for (auto& warp : ctx.warps)
+        if (!warp.done && !warp.at_barrier) all_at_bar = false;
+      if (all_at_bar)
+        for (auto& warp : ctx.warps) warp.at_barrier = false;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -463,25 +506,17 @@ LaunchResult Device::launch_scalar(const isa::Program& prog,
 // to preserve trap ordering and later-lane-wins store semantics.
 // ---------------------------------------------------------------------------
 
-LaunchResult Device::launch_soa(const isa::Program& prog,
-                                const LaunchDims& dims,
-                                const LaunchConfig& cfg) {
-  LaunchResult result;
+void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
+                         const LaunchConfig& cfg, unsigned cta,
+                         std::uint64_t& retired, SoaSlabs& slabs) {
   const unsigned tpc = dims.threads_per_cta();
-  if (tpc == 0 || dims.ctas() == 0) return result;
   const auto code_size = static_cast<std::int32_t>(prog.code.size());
   const unsigned warps = (tpc + kWarpSize - 1) / kWarpSize;
-  std::uint64_t retired = 0;
-
-  // Lane slabs, allocated once and re-zeroed per CTA. Slabs are 32-wide even
-  // for a partial tail warp; lanes past tpc never enter an active mask, and
-  // their garbage results are discarded by the execution mask.
-  std::vector<std::uint32_t> regs(
-      static_cast<std::size_t>(warps) * isa::kNumRegs * kWarpSize);
-  std::vector<std::uint8_t> preds(
-      static_cast<std::size_t>(warps) * isa::kNumPreds * kWarpSize);
-  std::vector<std::uint32_t> shared;
-  std::vector<Warp> warp_state(warps);
+  const std::uint64_t max_retired = cfg.max_retired;
+  std::vector<std::uint32_t>& regs = slabs.regs;
+  std::vector<std::uint8_t>& preds = slabs.preds;
+  std::vector<std::uint32_t>& shared = slabs.shared;
+  std::vector<Warp>& warp_state = slabs.warps;
 
   const auto reg_slab = [&](unsigned w, unsigned r) {
     return regs.data() +
@@ -500,129 +535,311 @@ LaunchResult Device::launch_soa(const isa::Program& prog,
   alignas(64) std::uint8_t pvals[kWarpSize];
   static constexpr std::uint32_t kZeros[kWarpSize] = {};
 
-  try {
-    for (unsigned cta = 0; cta < dims.ctas(); ++cta) {
-      const unsigned cta_x = cta % dims.grid_x;
-      const unsigned cta_y = cta / dims.grid_x;
-      std::fill(regs.begin(), regs.end(), 0u);
-      std::fill(preds.begin(), preds.end(), std::uint8_t{0});
-      shared.assign(prog.shared_words, 0);
-      for (unsigned w = 0; w < warps; ++w) {
-        const unsigned lo = w * kWarpSize;
-        const unsigned hi = std::min(tpc, lo + kWarpSize);
-        std::uint32_t mask = 0;
-        for (unsigned t = lo; t < hi; ++t) mask |= 1u << (t - lo);
-        warp_state[w] = Warp{};
-        warp_state[w].stack.push_back(StackEntry{0, -1, mask});
+  const unsigned cta_x = cta % dims.grid_x;
+  const unsigned cta_y = cta / dims.grid_x;
+  std::fill(regs.begin(), regs.end(), 0u);
+  std::fill(preds.begin(), preds.end(), std::uint8_t{0});
+  shared.assign(prog.shared_words, 0);
+  for (unsigned w = 0; w < warps; ++w) {
+    const unsigned lo = w * kWarpSize;
+    const unsigned hi = std::min(tpc, lo + kWarpSize);
+    std::uint32_t mask = 0;
+    for (unsigned t = lo; t < hi; ++t) mask |= 1u << (t - lo);
+    warp_state[w] = Warp{};
+    warp_state[w].stack.push_back(StackEntry{0, -1, mask});
+  }
+
+  // Gathers one source operand for the lanes of warp `w` named by
+  // `lanes` (pure reads, so hoisting the whole gather ahead of the lane
+  // loop is equivalent to the scalar path's per-lane resolve). Dense
+  // masks fill the whole 32-slot scratch in straight-line loops; sparse
+  // masks (a mostly-exited warp, e.g. one lane spinning on a corrupted
+  // loop counter) fill only the live slots by bit-iterating the mask,
+  // so per-retired-instruction cost tracks live lanes, not warp width.
+  const auto gather = [&](const Operand& op, unsigned w,
+                          std::uint32_t lanes,
+                          std::uint32_t* scratch) -> const std::uint32_t* {
+    const bool dense = std::popcount(lanes) * 2 >= int{kWarpSize};
+    const auto broadcast = [&](std::uint32_t v) {
+      if (dense) {
+        for (unsigned l = 0; l < kWarpSize; ++l) scratch[l] = v;
+      } else {
+        for (std::uint32_t m = lanes; m; m &= m - 1)
+          scratch[std::countr_zero(m)] = v;
+      }
+      return scratch;
+    };
+    const auto per_lane = [&](auto&& value_of) {
+      if (dense) {
+        for (unsigned l = 0; l < kWarpSize; ++l) scratch[l] = value_of(l);
+      } else {
+        for (std::uint32_t m = lanes; m; m &= m - 1) {
+          const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+          scratch[l] = value_of(l);
+        }
+      }
+      return scratch;
+    };
+    switch (op.kind) {
+      case OperandKind::Reg:
+        return reg_slab(w, op.value & (isa::kNumRegs - 1));
+      case OperandKind::Imm:
+        return broadcast(op.value);
+      case OperandKind::Special: {
+        const unsigned base_tid = w * kWarpSize;
+        switch (static_cast<isa::SReg>(op.value)) {
+          case isa::SReg::TID_X:
+            return per_lane(
+                [&](unsigned l) { return (base_tid + l) % dims.block_x; });
+          case isa::SReg::TID_Y:
+            return per_lane(
+                [&](unsigned l) { return (base_tid + l) / dims.block_x; });
+          case isa::SReg::NTID_X: return broadcast(dims.block_x);
+          case isa::SReg::NTID_Y: return broadcast(dims.block_y);
+          case isa::SReg::CTAID_X: return broadcast(cta_x);
+          case isa::SReg::CTAID_Y: return broadcast(cta_y);
+          case isa::SReg::NCTAID_X: return broadcast(dims.grid_x);
+          case isa::SReg::NCTAID_Y: return broadcast(dims.grid_y);
+          case isa::SReg::LANEID:
+            return per_lane([](unsigned l) { return l; });
+          default: {
+            const auto p = static_cast<unsigned>(op.value) -
+                           static_cast<unsigned>(isa::SReg::PARAM0);
+            return broadcast(prog.params[p % isa::kNumParams]);
+          }
+        }
+      }
+      case OperandKind::None:
+        return kZeros;
+    }
+    return kZeros;
+  };
+
+  bool all_done = false;
+  while (!all_done) {
+    bool progressed = false;
+    all_done = true;
+    for (unsigned w = 0; w < warps; ++w) {
+      Warp& warp = warp_state[w];
+      if (warp.done) continue;
+      all_done = false;
+      if (warp.at_barrier) continue;
+      progressed = true;
+
+      StackEntry& top = warp.stack.back();
+      const std::int32_t pc = top.pc;
+      if (pc < 0 || pc >= code_size) throw Trap("invalid PC");
+      const Instr& instr = prog.code[pc];
+      // A spent one-shot hook drops the rest of the launch to the
+      // unhooked fast path (results are identical either way).
+      InstrumentHook* const hook =
+          cfg.hook && !cfg.hook->done() ? cfg.hook : nullptr;
+
+      // Guard mask, evaluated from the predicate slab over live lanes.
+      std::uint32_t exec = top.mask;
+      if (instr.pred >= 0) {
+        const std::uint8_t* ps =
+            pred_slab(w, static_cast<unsigned>(instr.pred) &
+                             (isa::kNumPreds - 1));
+        std::uint32_t on = 0;
+        for (std::uint32_t m = top.mask; m; m &= m - 1) {
+          const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+          on |= static_cast<std::uint32_t>(ps[l] != 0) << l;
+        }
+        if (instr.pred_neg) on = ~on;
+        exec &= on;
       }
 
-      // Gathers one source operand for the lanes of warp `w` named by
-      // `lanes` (pure reads, so hoisting the whole gather ahead of the lane
-      // loop is equivalent to the scalar path's per-lane resolve). Dense
-      // masks fill the whole 32-slot scratch in straight-line loops; sparse
-      // masks (a mostly-exited warp, e.g. one lane spinning on a corrupted
-      // loop counter) fill only the live slots by bit-iterating the mask,
-      // so per-retired-instruction cost tracks live lanes, not warp width.
-      const auto gather = [&](const Operand& op, unsigned w,
-                              std::uint32_t lanes,
-                              std::uint32_t* scratch) -> const std::uint32_t* {
-        const bool dense = std::popcount(lanes) * 2 >= int{kWarpSize};
-        const auto broadcast = [&](std::uint32_t v) {
-          if (dense) {
-            for (unsigned l = 0; l < kWarpSize; ++l) scratch[l] = v;
-          } else {
-            for (std::uint32_t m = lanes; m; m &= m - 1)
-              scratch[std::countr_zero(m)] = v;
-          }
-          return scratch;
-        };
-        const auto per_lane = [&](auto&& value_of) {
-          if (dense) {
-            for (unsigned l = 0; l < kWarpSize; ++l) scratch[l] = value_of(l);
-          } else {
-            for (std::uint32_t m = lanes; m; m &= m - 1) {
-              const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-              scratch[l] = value_of(l);
-            }
-          }
-          return scratch;
-        };
-        switch (op.kind) {
-          case OperandKind::Reg:
-            return reg_slab(w, op.value & (isa::kNumRegs - 1));
-          case OperandKind::Imm:
-            return broadcast(op.value);
-          case OperandKind::Special: {
-            const unsigned base_tid = w * kWarpSize;
-            switch (static_cast<isa::SReg>(op.value)) {
-              case isa::SReg::TID_X:
-                return per_lane(
-                    [&](unsigned l) { return (base_tid + l) % dims.block_x; });
-              case isa::SReg::TID_Y:
-                return per_lane(
-                    [&](unsigned l) { return (base_tid + l) / dims.block_x; });
-              case isa::SReg::NTID_X: return broadcast(dims.block_x);
-              case isa::SReg::NTID_Y: return broadcast(dims.block_y);
-              case isa::SReg::CTAID_X: return broadcast(cta_x);
-              case isa::SReg::CTAID_Y: return broadcast(cta_y);
-              case isa::SReg::NCTAID_X: return broadcast(dims.grid_x);
-              case isa::SReg::NCTAID_Y: return broadcast(dims.grid_y);
-              case isa::SReg::LANEID:
-                return per_lane([](unsigned l) { return l; });
-              default: {
-                const auto p = static_cast<unsigned>(op.value) -
-                               static_cast<unsigned>(isa::SReg::PARAM0);
-                return broadcast(prog.params[p % isa::kNumParams]);
-              }
-            }
-          }
-          case OperandKind::None:
-            return kZeros;
+      auto count_retired = [&](std::uint32_t mask) {
+        if (!hook) {
+          retired += static_cast<unsigned>(std::popcount(mask));
+          return;
         }
-        return kZeros;
+        for (std::uint32_t m = mask; m; m &= m - 1) {
+          const unsigned lane =
+              static_cast<unsigned>(std::countr_zero(m));
+          ++retired;
+          RetireInfo info;
+          info.instr = &instr;
+          info.pc = pc;
+          info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
+          info.dyn_index = retired - 1;
+          hook->on_count(info);
+        }
       };
 
-      bool all_done = false;
-      while (!all_done) {
-        bool progressed = false;
-        all_done = true;
-        for (unsigned w = 0; w < warps; ++w) {
-          Warp& warp = warp_state[w];
-          if (warp.done) continue;
-          all_done = false;
-          if (warp.at_barrier) continue;
-          progressed = true;
-
-          StackEntry& top = warp.stack.back();
-          const std::int32_t pc = top.pc;
-          if (pc < 0 || pc >= code_size) throw Trap("invalid PC");
-          const Instr& instr = prog.code[pc];
-          // A spent one-shot hook drops the rest of the launch to the
-          // unhooked fast path (results are identical either way).
-          InstrumentHook* const hook =
-              cfg.hook && !cfg.hook->done() ? cfg.hook : nullptr;
-
-          // Guard mask, evaluated from the predicate slab over live lanes.
-          std::uint32_t exec = top.mask;
-          if (instr.pred >= 0) {
-            const std::uint8_t* ps =
-                pred_slab(w, static_cast<unsigned>(instr.pred) &
-                                 (isa::kNumPreds - 1));
-            std::uint32_t on = 0;
-            for (std::uint32_t m = top.mask; m; m &= m - 1) {
-              const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-              on |= static_cast<std::uint32_t>(ps[l] != 0) << l;
-            }
-            if (instr.pred_neg) on = ~on;
-            exec &= on;
+      switch (instr.op) {
+        case Opcode::BRA: {
+          count_retired(exec);
+          const std::uint32_t not_taken = top.mask & ~exec;
+          if (not_taken == 0) {
+            if (instr.target < 0) throw Trap("BRA without target");
+            top.pc = instr.target;
+          } else if (exec == 0) {
+            top.pc = pc + 1;
+          } else {
+            if (instr.reconv < 0)
+              throw Trap("divergent BRA without reconvergence point");
+            if (warp.stack.size() + 2 > kMaxStackDepth)
+              throw Trap("SIMT stack overflow");
+            top.pc = instr.reconv;  // merged continuation
+            warp.stack.push_back(
+                StackEntry{pc + 1, instr.reconv, not_taken});
+            warp.stack.push_back(
+                StackEntry{instr.target, instr.reconv, exec});
           }
-
-          auto count_retired = [&](std::uint32_t mask) {
-            if (!hook) {
-              retired += static_cast<unsigned>(std::popcount(mask));
-              return;
+          break;
+        }
+        case Opcode::EXIT: {
+          count_retired(exec);
+          for (auto& entry : warp.stack) entry.mask &= ~exec;
+          // Remaining guarded-off threads continue past the EXIT.
+          top.pc = pc + 1;
+          break;
+        }
+        case Opcode::BAR: {
+          count_retired(exec);
+          warp.at_barrier = true;
+          top.pc = pc + 1;
+          break;
+        }
+        case Opcode::NOP: {
+          count_retired(exec);
+          top.pc = pc + 1;
+          break;
+        }
+        case Opcode::ISETP:
+        case Opcode::FSETP: {
+          const std::uint32_t* a = gather(instr.a, w, exec, imm_a);
+          const std::uint32_t* b = gather(instr.b, w, exec, imm_b);
+          if (std::popcount(exec) * 2 >= int{kWarpSize}) {
+            if (instr.op == Opcode::ISETP)
+              isa::cmp_lanes_i(instr.cmp, a, b, pvals);
+            else
+              isa::cmp_lanes_f(instr.cmp, a, b, pvals);
+          } else {
+            for (std::uint32_t m = exec; m; m &= m - 1) {
+              const unsigned l =
+                  static_cast<unsigned>(std::countr_zero(m));
+              pvals[l] = (instr.op == Opcode::ISETP
+                              ? isa::cmp_eval_i(instr.cmp, a[l], b[l])
+                              : isa::cmp_eval_f(instr.cmp, a[l], b[l]))
+                             ? 1
+                             : 0;
             }
-            for (std::uint32_t m = mask; m; m &= m - 1) {
+          }
+          std::uint8_t* dst =
+              pred_slab(w, instr.dst & (isa::kNumPreds - 1));
+          if (hook) {
+            for (std::uint32_t m = exec; m; m &= m - 1) {
+              const unsigned lane =
+                  static_cast<unsigned>(std::countr_zero(m));
+              bool v = pvals[lane] != 0;
+              ++retired;
+              RetireInfo info;
+              info.instr = &instr;
+              info.pc = pc;
+              info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
+              info.dyn_index = retired - 1;
+              info.a = a[lane];
+              info.b = b[lane];
+              hook->on_count(info);
+              hook->on_pred_retire(info, v);
+              dst[lane] = v ? 1 : 0;
+            }
+          } else {
+            for (std::uint32_t m = exec; m; m &= m - 1) {
+              const unsigned lane =
+                  static_cast<unsigned>(std::countr_zero(m));
+              dst[lane] = pvals[lane];
+            }
+            retired += static_cast<unsigned>(std::popcount(exec));
+          }
+          top.pc = pc + 1;
+          break;
+        }
+        case Opcode::GLD:
+        case Opcode::GST:
+        case Opcode::LDS:
+        case Opcode::STS: {
+          const bool is_load =
+              instr.op == Opcode::GLD || instr.op == Opcode::LDS;
+          const bool is_global =
+              instr.op == Opcode::GLD || instr.op == Opcode::GST;
+          const std::uint32_t* base = gather(instr.a, w, exec, imm_a);
+          const std::uint32_t* sval =
+              is_load ? kZeros : gather(instr.b, w, exec, imm_b);
+          std::uint32_t* dst = reg_slab(w, instr.dst & (isa::kNumRegs - 1));
+          // Lane-sequential: trap ordering and later-lane-wins stores.
+          for (std::uint32_t lm = exec; lm; lm &= lm - 1) {
+            const unsigned lane =
+                static_cast<unsigned>(std::countr_zero(lm));
+            std::uint32_t addr =
+                base[lane] + static_cast<std::uint32_t>(instr.imm);
+            const std::size_t limit =
+                is_global ? global_.size() : shared.size();
+            if (addr >= limit) {
+              if (!cfg.oob_wraps || limit == 0)
+                throw Trap("out-of-bounds memory access");
+              addr = static_cast<std::uint32_t>(addr % limit);
+            }
+            std::uint32_t value;
+            if (is_load) {
+              value = is_global ? global_[addr] : shared[addr];
+            } else {
+              value = sval[lane];
+            }
+            ++retired;
+            if (hook) {
+              RetireInfo info;
+              info.instr = &instr;
+              info.pc = pc;
+              info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
+              info.dyn_index = retired - 1;
+              info.a = base[lane];
+              info.b = value;
+              hook->on_count(info);
+              if (is_load) hook->on_retire(info, value);
+            }
+            if (is_load) {
+              dst[lane] = value;
+            } else if (is_global) {
+              store_global(addr, value);
+            } else {
+              shared[addr] = value;
+            }
+          }
+          top.pc = pc + 1;
+          break;
+        }
+        default: {  // data-processing instructions
+          const std::uint32_t* a = gather(instr.a, w, exec, imm_a);
+          const std::uint32_t* b = gather(instr.b, w, exec, imm_b);
+          const std::uint32_t* c = kZeros;
+          const std::uint8_t* cp = nullptr;
+          if (instr.op == Opcode::SEL) {
+            cp = pred_slab(w, instr.c.value & (isa::kNumPreds - 1));
+          } else {
+            c = gather(instr.c, w, exec, imm_c);
+          }
+          const auto nactive =
+              static_cast<unsigned>(std::popcount(exec));
+          if (nactive * 2 >= kWarpSize) {
+            isa::alu_lanes(instr.op, a, b, c, cp, vals);
+          } else if (nactive != 0) {
+            // Sparse masks: batch-computing 31 dead software-FP lanes
+            // costs more than it saves — fall back to active lanes only.
+            for (std::uint32_t m = exec; m; m &= m - 1) {
+              const unsigned lane =
+                  static_cast<unsigned>(std::countr_zero(m));
+              vals[lane] = isa::alu_result(instr.op, a[lane], b[lane],
+                                           c[lane],
+                                           cp != nullptr && cp[lane]);
+            }
+          }
+          std::uint32_t* dst = reg_slab(w, instr.dst & (isa::kNumRegs - 1));
+          if (hook) {
+            for (std::uint32_t m = exec; m; m &= m - 1) {
               const unsigned lane =
                   static_cast<unsigned>(std::countr_zero(m));
               ++retired;
@@ -631,257 +848,61 @@ LaunchResult Device::launch_soa(const isa::Program& prog,
               info.pc = pc;
               info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
               info.dyn_index = retired - 1;
+              info.a = a[lane];
+              info.b = b[lane];
+              info.c = c[lane];
               hook->on_count(info);
+              std::uint32_t value = vals[lane];
+              hook->on_retire(info, value);
+              dst[lane] = value;
             }
-          };
-
-          switch (instr.op) {
-            case Opcode::BRA: {
-              count_retired(exec);
-              const std::uint32_t not_taken = top.mask & ~exec;
-              if (not_taken == 0) {
-                if (instr.target < 0) throw Trap("BRA without target");
-                top.pc = instr.target;
-              } else if (exec == 0) {
-                top.pc = pc + 1;
-              } else {
-                if (instr.reconv < 0)
-                  throw Trap("divergent BRA without reconvergence point");
-                if (warp.stack.size() + 2 > kMaxStackDepth)
-                  throw Trap("SIMT stack overflow");
-                top.pc = instr.reconv;  // merged continuation
-                warp.stack.push_back(
-                    StackEntry{pc + 1, instr.reconv, not_taken});
-                warp.stack.push_back(
-                    StackEntry{instr.target, instr.reconv, exec});
-              }
-              break;
+          } else {
+            for (std::uint32_t m = exec; m; m &= m - 1) {
+              const unsigned lane =
+                  static_cast<unsigned>(std::countr_zero(m));
+              dst[lane] = vals[lane];
             }
-            case Opcode::EXIT: {
-              count_retired(exec);
-              for (auto& entry : warp.stack) entry.mask &= ~exec;
-              // Remaining guarded-off threads continue past the EXIT.
-              top.pc = pc + 1;
-              break;
-            }
-            case Opcode::BAR: {
-              count_retired(exec);
-              warp.at_barrier = true;
-              top.pc = pc + 1;
-              break;
-            }
-            case Opcode::NOP: {
-              count_retired(exec);
-              top.pc = pc + 1;
-              break;
-            }
-            case Opcode::ISETP:
-            case Opcode::FSETP: {
-              const std::uint32_t* a = gather(instr.a, w, exec, imm_a);
-              const std::uint32_t* b = gather(instr.b, w, exec, imm_b);
-              if (std::popcount(exec) * 2 >= int{kWarpSize}) {
-                if (instr.op == Opcode::ISETP)
-                  isa::cmp_lanes_i(instr.cmp, a, b, pvals);
-                else
-                  isa::cmp_lanes_f(instr.cmp, a, b, pvals);
-              } else {
-                for (std::uint32_t m = exec; m; m &= m - 1) {
-                  const unsigned l =
-                      static_cast<unsigned>(std::countr_zero(m));
-                  pvals[l] = (instr.op == Opcode::ISETP
-                                  ? isa::cmp_eval_i(instr.cmp, a[l], b[l])
-                                  : isa::cmp_eval_f(instr.cmp, a[l], b[l]))
-                                 ? 1
-                                 : 0;
-                }
-              }
-              std::uint8_t* dst =
-                  pred_slab(w, instr.dst & (isa::kNumPreds - 1));
-              if (hook) {
-                for (std::uint32_t m = exec; m; m &= m - 1) {
-                  const unsigned lane =
-                      static_cast<unsigned>(std::countr_zero(m));
-                  bool v = pvals[lane] != 0;
-                  ++retired;
-                  RetireInfo info;
-                  info.instr = &instr;
-                  info.pc = pc;
-                  info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
-                  info.dyn_index = retired - 1;
-                  info.a = a[lane];
-                  info.b = b[lane];
-                  hook->on_count(info);
-                  hook->on_pred_retire(info, v);
-                  dst[lane] = v ? 1 : 0;
-                }
-              } else {
-                for (std::uint32_t m = exec; m; m &= m - 1) {
-                  const unsigned lane =
-                      static_cast<unsigned>(std::countr_zero(m));
-                  dst[lane] = pvals[lane];
-                }
-                retired += static_cast<unsigned>(std::popcount(exec));
-              }
-              top.pc = pc + 1;
-              break;
-            }
-            case Opcode::GLD:
-            case Opcode::GST:
-            case Opcode::LDS:
-            case Opcode::STS: {
-              const bool is_load =
-                  instr.op == Opcode::GLD || instr.op == Opcode::LDS;
-              const bool is_global =
-                  instr.op == Opcode::GLD || instr.op == Opcode::GST;
-              const std::uint32_t* base = gather(instr.a, w, exec, imm_a);
-              const std::uint32_t* sval =
-                  is_load ? kZeros : gather(instr.b, w, exec, imm_b);
-              std::uint32_t* dst = reg_slab(w, instr.dst & (isa::kNumRegs - 1));
-              // Lane-sequential: trap ordering and later-lane-wins stores.
-              for (std::uint32_t lm = exec; lm; lm &= lm - 1) {
-                const unsigned lane =
-                    static_cast<unsigned>(std::countr_zero(lm));
-                std::uint32_t addr =
-                    base[lane] + static_cast<std::uint32_t>(instr.imm);
-                const std::size_t limit =
-                    is_global ? global_.size() : shared.size();
-                if (addr >= limit) {
-                  if (!cfg.oob_wraps || limit == 0)
-                    throw Trap("out-of-bounds memory access");
-                  addr = static_cast<std::uint32_t>(addr % limit);
-                }
-                std::uint32_t value;
-                if (is_load) {
-                  value = is_global ? global_[addr] : shared[addr];
-                } else {
-                  value = sval[lane];
-                }
-                ++retired;
-                if (hook) {
-                  RetireInfo info;
-                  info.instr = &instr;
-                  info.pc = pc;
-                  info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
-                  info.dyn_index = retired - 1;
-                  info.a = base[lane];
-                  info.b = value;
-                  hook->on_count(info);
-                  if (is_load) hook->on_retire(info, value);
-                }
-                if (is_load) {
-                  dst[lane] = value;
-                } else if (is_global) {
-                  global_[addr] = value;
-                  touch(static_cast<std::size_t>(addr) + 1);
-                } else {
-                  shared[addr] = value;
-                }
-              }
-              top.pc = pc + 1;
-              break;
-            }
-            default: {  // data-processing instructions
-              const std::uint32_t* a = gather(instr.a, w, exec, imm_a);
-              const std::uint32_t* b = gather(instr.b, w, exec, imm_b);
-              const std::uint32_t* c = kZeros;
-              const std::uint8_t* cp = nullptr;
-              if (instr.op == Opcode::SEL) {
-                cp = pred_slab(w, instr.c.value & (isa::kNumPreds - 1));
-              } else {
-                c = gather(instr.c, w, exec, imm_c);
-              }
-              const auto nactive =
-                  static_cast<unsigned>(std::popcount(exec));
-              if (nactive * 2 >= kWarpSize) {
-                isa::alu_lanes(instr.op, a, b, c, cp, vals);
-              } else if (nactive != 0) {
-                // Sparse masks: batch-computing 31 dead software-FP lanes
-                // costs more than it saves — fall back to active lanes only.
-                for (std::uint32_t m = exec; m; m &= m - 1) {
-                  const unsigned lane =
-                      static_cast<unsigned>(std::countr_zero(m));
-                  vals[lane] = isa::alu_result(instr.op, a[lane], b[lane],
-                                               c[lane],
-                                               cp != nullptr && cp[lane]);
-                }
-              }
-              std::uint32_t* dst = reg_slab(w, instr.dst & (isa::kNumRegs - 1));
-              if (hook) {
-                for (std::uint32_t m = exec; m; m &= m - 1) {
-                  const unsigned lane =
-                      static_cast<unsigned>(std::countr_zero(m));
-                  ++retired;
-                  RetireInfo info;
-                  info.instr = &instr;
-                  info.pc = pc;
-                  info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
-                  info.dyn_index = retired - 1;
-                  info.a = a[lane];
-                  info.b = b[lane];
-                  info.c = c[lane];
-                  hook->on_count(info);
-                  std::uint32_t value = vals[lane];
-                  hook->on_retire(info, value);
-                  dst[lane] = value;
-                }
-              } else {
-                for (std::uint32_t m = exec; m; m &= m - 1) {
-                  const unsigned lane =
-                      static_cast<unsigned>(std::countr_zero(m));
-                  dst[lane] = vals[lane];
-                }
-                retired += static_cast<unsigned>(std::popcount(exec));
-              }
-              top.pc = pc + 1;
-              break;
-            }
+            retired += static_cast<unsigned>(std::popcount(exec));
           }
-
-          // Merge completed divergence regions and retire empty entries.
-          while (!warp.stack.empty()) {
-            StackEntry& t = warp.stack.back();
-            if (t.mask == 0 || (t.rpc >= 0 && t.pc == t.rpc)) {
-              // An emptied base entry means every thread exited.
-              if (warp.stack.size() == 1 && t.mask != 0) break;
-              warp.stack.pop_back();
-            } else {
-              break;
-            }
-          }
-          if (warp.stack.empty() || warp.stack.back().mask == 0) {
-            warp.done = true;
-          }
-
-          if (retired > cfg.max_retired) {
-            result.status = LaunchStatus::Timeout;
-            result.retired = retired;
-            return result;
-          }
-        }
-
-        // Barrier release: every live warp has arrived.
-        if (!all_done && !progressed) {
-          bool any_waiting = false;
-          for (auto& warp : warp_state)
-            any_waiting |= !warp.done && warp.at_barrier;
-          if (!any_waiting) throw Trap("scheduler deadlock");
-          for (auto& warp : warp_state) warp.at_barrier = false;
-        } else if (!all_done) {
-          // If all non-done warps are at the barrier, release them.
-          bool all_at_bar = true;
-          for (auto& warp : warp_state)
-            if (!warp.done && !warp.at_barrier) all_at_bar = false;
-          if (all_at_bar)
-            for (auto& warp : warp_state) warp.at_barrier = false;
+          top.pc = pc + 1;
+          break;
         }
       }
+
+      // Merge completed divergence regions and retire empty entries.
+      while (!warp.stack.empty()) {
+        StackEntry& t = warp.stack.back();
+        if (t.mask == 0 || (t.rpc >= 0 && t.pc == t.rpc)) {
+          // An emptied base entry means every thread exited.
+          if (warp.stack.size() == 1 && t.mask != 0) break;
+          warp.stack.pop_back();
+        } else {
+          break;
+        }
+      }
+      if (warp.stack.empty() || warp.stack.back().mask == 0) {
+        warp.done = true;
+      }
+
+      if (retired > max_retired) return;  // watchdog
     }
-  } catch (const Trap& t) {
-    result.status = LaunchStatus::Trap;
-    result.trap_reason = t.what();
+
+    // Barrier release: every live warp has arrived.
+    if (!all_done && !progressed) {
+      bool any_waiting = false;
+      for (auto& warp : warp_state)
+        any_waiting |= !warp.done && warp.at_barrier;
+      if (!any_waiting) throw Trap("scheduler deadlock");
+      for (auto& warp : warp_state) warp.at_barrier = false;
+    } else if (!all_done) {
+      // If all non-done warps are at the barrier, release them.
+      bool all_at_bar = true;
+      for (auto& warp : warp_state)
+        if (!warp.done && !warp.at_barrier) all_at_bar = false;
+      if (all_at_bar)
+        for (auto& warp : warp_state) warp.at_barrier = false;
+    }
   }
-  result.retired = retired;
-  return result;
 }
 
 }  // namespace gpufi::emu

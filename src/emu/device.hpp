@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -58,6 +59,32 @@ class InstrumentHook {
   /// trial (on average half of it, all of it for a fault-induced hang) run
   /// at uninstrumented speed.
   virtual bool done() const { return false; }
+  /// Called before each CTA runs, with the CTA's position in the device's
+  /// run: CTAs are numbered across launches from 0 at construction or the
+  /// last Device::reset(). On a device replaying a golden tape
+  /// (Device::replay_tape) that covers this CTA, returning true makes the
+  /// device apply the CTA's recorded global stores and retired count
+  /// instead of executing it, so the hook sees none of its retirements.
+  /// That is exact only while the run is still the golden one, i.e. before
+  /// the hook has changed any value. Hooks that keep the default see every
+  /// retirement; a golden pass can use the call to cut per-CTA tallies.
+  virtual bool on_cta(std::size_t /*run_cta*/) { return false; }
+};
+
+/// Golden CTA tape: what every CTA of a run did to global memory, in run
+/// order (CTAs numbered as for InstrumentHook::on_cta). Registers,
+/// predicates and shared memory reset for every CTA, so global memory is
+/// the only state a CTA passes on; its stores and the retired count it
+/// leaves therefore stand in for executing it. Recorded by a golden pass
+/// (Device::record_tape), replayed by the trials of a campaign.
+struct CtaTape {
+  struct Cta {
+    std::size_t stores_end = 0;  ///< one past the CTA's last entry in stores
+    std::uint64_t retired = 0;   ///< the launch's retired count at CTA end
+  };
+  /// Global stores as (word address, value), in the order they were made.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> stores;
+  std::vector<Cta> ctas;
 };
 
 /// Terminal status of a kernel launch.
@@ -115,7 +142,8 @@ class Device {
   /// written (host copies/fills and kernel global stores) is zeroed again
   /// and the allocator rewinds. Campaign loops reuse one device per worker
   /// through this instead of constructing (and zeroing) a new one per trial;
-  /// the post-reset state is byte-identical to a new Device of the same size.
+  /// the post-reset state is byte-identical to a new Device of the same size
+  /// (CTA numbering for on_cta restarts too; attached tapes stay attached).
   void reset();
 
   /// Selects the interpreter used by launch() (default SoA; the scalar path
@@ -146,11 +174,22 @@ class Device {
 
   std::size_t global_words() const { return global_.size(); }
 
+  /// Records a golden tape: every CTA this device runs from now on appends
+  /// its global stores and end-of-CTA retired count to `tape` (nullptr
+  /// stops recording).
+  void record_tape(CtaTape* tape) { recording_ = tape; }
+  /// Replays a tape recorded by the same run: before CTA k runs, a hook
+  /// whose on_cta(k) returns true gets tape CTA k applied instead of
+  /// executed (nullptr detaches).
+  void replay_tape(const CtaTape* tape) { replaying_ = tape; }
+
   /// Executes a kernel to completion (or trap/timeout).
   LaunchResult launch(const isa::Program& prog, const LaunchDims& dims,
                       const LaunchConfig& cfg = {});
 
  private:
+  struct SoaSlabs;
+
   /// True when [addr, addr+words) lies inside global memory, computed
   /// without overflow (`addr + words` can wrap std::size_t).
   bool in_bounds(std::uint32_t addr, std::size_t words) const {
@@ -162,15 +201,29 @@ class Device {
     if (end > touched_high_) touched_high_ = end;
   }
 
-  LaunchResult launch_scalar(const isa::Program& prog, const LaunchDims& dims,
-                             const LaunchConfig& cfg);
-  LaunchResult launch_soa(const isa::Program& prog, const LaunchDims& dims,
-                          const LaunchConfig& cfg);
+  /// A kernel's global store (recorded when a tape is being recorded).
+  void store_global(std::uint32_t addr, std::uint32_t value) {
+    global_[addr] = value;
+    touch(static_cast<std::size_t>(addr) + 1);
+    if (recording_) recording_->stores.emplace_back(addr, value);
+  }
+
+  /// Execute CTA `cta` of a launch, advancing `retired`. They return early
+  /// once `retired` passes cfg.max_retired (the watchdog) and throw on traps.
+  void run_cta_scalar(const isa::Program& prog, const LaunchDims& dims,
+                      const LaunchConfig& cfg, unsigned cta,
+                      std::uint64_t& retired);
+  void run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
+                   const LaunchConfig& cfg, unsigned cta,
+                   std::uint64_t& retired, SoaSlabs& slabs);
 
   std::vector<std::uint32_t> global_;
   std::size_t alloc_watermark_ = 0;
   std::size_t touched_high_ = 0;  ///< one past the highest word ever written
   Interpreter interp_ = Interpreter::SoA;
+  CtaTape* recording_ = nullptr;
+  const CtaTape* replaying_ = nullptr;
+  std::size_t ctas_run_ = 0;  ///< CTAs started since construction or reset()
 };
 
 }  // namespace gpufi::emu

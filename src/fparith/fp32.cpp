@@ -8,7 +8,6 @@ namespace gpufi::fparith {
 namespace {
 
 constexpr std::uint32_t kSignMask = 0x80000000u;
-constexpr std::uint32_t kQNaN = 0x7fc00000u;
 
 std::uint32_t pack_raw(bool sign, std::uint32_t exp_field,
                        std::uint32_t frac) {
@@ -140,20 +139,20 @@ FmaS2 fma_stage2(const FmaS1& s) {
   if (s.a.cls == FpClass::NaN || s.b.cls == FpClass::NaN ||
       s.c.cls == FpClass::NaN) {
     o.special = true;
-    o.special_bits = kQNaN;
+    o.special_bits = kCanonicalNaN;
     return o;
   }
   const bool p_inf = s.a.cls == FpClass::Inf || s.b.cls == FpClass::Inf;
   const bool p_zero = s.a.cls == FpClass::Zero || s.b.cls == FpClass::Zero;
   if (p_inf && p_zero) {  // inf * 0
     o.special = true;
-    o.special_bits = kQNaN;
+    o.special_bits = kCanonicalNaN;
     return o;
   }
   if (p_inf) {
     if (s.c.cls == FpClass::Inf && s.c.sign != o.sign_p) {
       o.special = true;  // inf - inf
-      o.special_bits = kQNaN;
+      o.special_bits = kCanonicalNaN;
       return o;
     }
     o.special = true;

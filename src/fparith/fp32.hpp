@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace gpufi::fparith {
@@ -91,6 +93,28 @@ std::uint32_t fma_stage4(const FmaS3& s);
 /// One-shot unified datapath (the canonical arithmetic of the library).
 std::uint32_t fma_bits(std::uint32_t a, std::uint32_t b, std::uint32_t c,
                        FpOp op);
+
+/// The datapath's canonical quiet NaN: every NaN result of fma_bits.
+inline constexpr std::uint32_t kCanonicalNaN = 0x7fc00000u;
+
+/// fma_bits computed with the host's IEEE-754 binary32 arithmetic (`a + b`,
+/// `a * b`, `std::fma`), for the emulator's hot loop. Bit-identical to
+/// fma_bits for every input: round-to-nearest-even has exactly one correct
+/// result, and any NaN result maps to kCanonicalNaN as the datapath does
+/// (tests/fparith_test.cpp pins both). fma_bits stays the RTL model's staged
+/// datapath and the oracle. Requires the default floating-point environment
+/// (round to nearest, no flush-to-zero or denormals-are-zero).
+inline std::uint32_t fma_host_bits(std::uint32_t a, std::uint32_t b,
+                                   std::uint32_t c, FpOp op) {
+  const float x = std::bit_cast<float>(a), y = std::bit_cast<float>(b);
+  float r;
+  switch (op) {
+    case FpOp::Add: r = x + y; break;
+    case FpOp::Mul: r = x * y; break;
+    default: r = std::fma(x, y, std::bit_cast<float>(c)); break;
+  }
+  return std::isnan(r) ? kCanonicalNaN : std::bit_cast<std::uint32_t>(r);
+}
 
 /// IEEE-754 binary32 fused multiply-add: a*b + c, one rounding.
 float ffma(float a, float b, float c);

@@ -19,11 +19,11 @@ std::uint32_t alu_result(Opcode op, std::uint32_t a, std::uint32_t b,
   using fparith::FpOp;
   switch (op) {
     case Opcode::FADD:
-      return fparith::fma_bits(a, b, 0, FpOp::Add);
+      return fparith::fma_host_bits(a, b, 0, FpOp::Add);
     case Opcode::FMUL:
-      return fparith::fma_bits(a, b, 0, FpOp::Mul);
+      return fparith::fma_host_bits(a, b, 0, FpOp::Mul);
     case Opcode::FFMA:
-      return fparith::fma_bits(a, b, c, FpOp::Fma);
+      return fparith::fma_host_bits(a, b, c, FpOp::Fma);
     case Opcode::IADD:
       return a + b;
     case Opcode::IMUL:
@@ -87,15 +87,15 @@ void alu_lanes(Opcode op, const std::uint32_t* a, const std::uint32_t* b,
   switch (op) {
     case Opcode::FADD:
       return map_lanes(out, [&](unsigned l) {
-        return fparith::fma_bits(a[l], b[l], 0, FpOp::Add);
+        return fparith::fma_host_bits(a[l], b[l], 0, FpOp::Add);
       });
     case Opcode::FMUL:
       return map_lanes(out, [&](unsigned l) {
-        return fparith::fma_bits(a[l], b[l], 0, FpOp::Mul);
+        return fparith::fma_host_bits(a[l], b[l], 0, FpOp::Mul);
       });
     case Opcode::FFMA:
       return map_lanes(out, [&](unsigned l) {
-        return fparith::fma_bits(a[l], b[l], c[l], FpOp::Fma);
+        return fparith::fma_host_bits(a[l], b[l], c[l], FpOp::Fma);
       });
     case Opcode::IADD:
       return map_lanes(out, [&](unsigned l) { return a[l] + b[l]; });

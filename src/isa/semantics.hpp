@@ -13,7 +13,8 @@ namespace gpufi::isa {
 /// are executed by the engines themselves. Both the emulator and the RTL
 /// model use these semantics (the RTL model computes FP32/INT/SFU results
 /// through its staged datapaths, which are bit-identical by construction and
-/// verified so by tests).
+/// verified so by tests). FADD/FMUL/FFMA compute through
+/// fparith::fma_host_bits, the host-arithmetic twin of fparith::fma_bits.
 std::uint32_t alu_result(Opcode op, std::uint32_t a, std::uint32_t b,
                          std::uint32_t c, bool c_pred);
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 
 namespace gpufi::nn {
 
@@ -815,53 +818,88 @@ void Network::save_file(const std::string& path) const {
 }
 
 Network Network::load_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) throw std::runtime_error("cannot read " + path);
-  auto get_u32 = [&]() {
+  // Every count below is checked against the bytes the file still holds
+  // before anything is allocated, and every weight/bias vector against its
+  // layer's declared shape: a stale or corrupted file throws, naming itself.
+  std::uint64_t left = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
+  const auto bad = [&](const std::string& why) {
+    return std::runtime_error("bad network file " + path + ": " + why);
+  };
+  const auto read = [&](void* dst, std::uint64_t bytes, const char* what) {
+    if (bytes > left)
+      throw bad(std::string(what) + " runs past the end of the file");
+    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+    if (!is) throw bad(std::string("short read in ") + what);
+    left -= bytes;
+  };
+  const auto get_u32 = [&](const char* what) {
     std::uint32_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), 4);
+    read(&v, 4, what);
     return v;
   };
-  auto get_vec = [&]() {
-    std::vector<float> v(get_u32());
-    is.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * 4));
+  const auto get_vec = [&](std::uint64_t shape, const char* what) {
+    const std::uint32_t n = get_u32(what);
+    if (std::uint64_t{n} * 4 > left)
+      throw bad(std::string(what) + " count " + std::to_string(n) +
+                " exceeds the file");
+    if (n != shape)
+      throw bad(std::string(what) + " count " + std::to_string(n) +
+                " does not match the layer shape (" + std::to_string(shape) +
+                ")");
+    std::vector<float> v(n);
+    read(v.data(), std::uint64_t{n} * 4, what);
     return v;
+  };
+  // Layer sizes from 32-bit fields; saturates instead of wrapping.
+  const auto product = [](std::initializer_list<std::uint32_t> dims) {
+    unsigned __int128 p = 1;
+    for (const std::uint32_t d : dims) {
+      p *= d;
+      if (p > UINT64_MAX) return UINT64_MAX;
+    }
+    return static_cast<std::uint64_t>(p);
   };
   char magic[4];
-  is.read(magic, 4);
-  if (std::string(magic, 4) != "GFNN")
-    throw std::runtime_error("bad network file " + path);
+  read(magic, 4, "magic");
+  if (std::string(magic, 4) != "GFNN") throw bad("no GFNN magic");
   Network net;
-  net.name.resize(get_u32());
-  is.read(net.name.data(), static_cast<std::streamsize>(net.name.size()));
-  net.in_c = get_u32();
-  net.in_h = get_u32();
-  net.in_w = get_u32();
-  const auto n_convs = get_u32();
+  const std::uint32_t name_len = get_u32("name length");
+  if (name_len > left) throw bad("name runs past the end of the file");
+  net.name.resize(name_len);
+  read(net.name.data(), name_len, "name");
+  net.in_c = get_u32("input shape");
+  net.in_h = get_u32("input shape");
+  net.in_w = get_u32("input shape");
+  const auto n_convs = get_u32("conv count");
+  if (n_convs > left) throw bad("conv count exceeds the file");
   for (std::uint32_t i = 0; i < n_convs; ++i) {
     ConvLayer c;
-    c.in_c = get_u32();
-    c.in_h = get_u32();
-    c.in_w = get_u32();
-    c.out_c = get_u32();
-    c.k = get_u32();
-    c.relu = get_u32() != 0;
-    c.pool = get_u32() != 0;
-    c.weights = get_vec();
-    c.bias = get_vec();
+    c.in_c = get_u32("conv shape");
+    c.in_h = get_u32("conv shape");
+    c.in_w = get_u32("conv shape");
+    c.out_c = get_u32("conv shape");
+    c.k = get_u32("conv shape");
+    c.relu = get_u32("conv flags") != 0;
+    c.pool = get_u32("conv flags") != 0;
+    c.weights = get_vec(product({c.out_c, c.in_c, c.k, c.k}), "conv weights");
+    c.bias = get_vec(c.out_c, "conv bias");
     net.convs.push_back(std::move(c));
   }
-  const auto n_fcs = get_u32();
+  const auto n_fcs = get_u32("fc count");
+  if (n_fcs > left) throw bad("fc count exceeds the file");
   for (std::uint32_t i = 0; i < n_fcs; ++i) {
     FcLayer f;
-    f.in_n = get_u32();
-    f.out_n = get_u32();
-    f.relu = get_u32() != 0;
-    f.weights = get_vec();
-    f.bias = get_vec();
+    f.in_n = get_u32("fc shape");
+    f.out_n = get_u32("fc shape");
+    f.relu = get_u32("fc flags") != 0;
+    f.weights = get_vec(product({f.in_n, f.out_n}), "fc weights");
+    f.bias = get_vec(f.out_n, "fc bias");
     net.fcs.push_back(std::move(f));
   }
+  if (left != 0) throw bad(std::to_string(left) + " trailing bytes");
   return net;
 }
 

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
-#include <stdexcept>
-#include <utility>
 
-#include "emu/profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -29,32 +25,6 @@ namespace {
 /// campaign's per-trial streams ("plan" in ASCII).
 constexpr std::uint64_t kPlannerStream = 0x706c616e;
 
-/// Golden-pass hook: candidate census per (opcode x input range) stratum,
-/// plus the per-pc execution profile for attribution.
-struct StratifiedGoldenHook : emu::InstrumentHook {
-  bool memory_is_float = true;
-  std::uint64_t candidates = 0;
-  std::map<std::pair<Opcode, rtlfi::InputRange>, std::uint64_t> strata;
-  emu::Profiler profiler;
-
-  void on_retire(const emu::RetireInfo& info, std::uint32_t&) override {
-    note(info);
-  }
-  void on_pred_retire(const emu::RetireInfo& info, bool&) override {
-    note(info);
-  }
-  void on_count(const emu::RetireInfo& info) override {
-    profiler.on_count(info);
-  }
-
-  void note(const emu::RetireInfo& info) {
-    const Opcode op = info.instr->op;
-    if (!isa::is_injection_candidate(op)) return;
-    ++candidates;
-    ++strata[{op, classify_inputs(op, info.a, info.b, memory_is_float)}];
-  }
-};
-
 double half_width(std::uint64_t successes, std::uint64_t n) {
   const auto iv = stats::wilson_interval(successes, n);
   return (iv.hi - iv.lo) / 2.0;
@@ -68,13 +38,13 @@ const std::vector<double>& stratum_trial_buckets() {
 
 }  // namespace
 
-PlanResult run_planned_campaign(const App& app, const Config& cfg,
-                                const Plan& plan) {
+PlanResult detail::run_planned_campaign(const App& app, const Config& cfg,
+                                        const Plan& plan, bool replay) {
   if (!plan.adaptive()) {
     // Fixed-trial mode: the exact legacy path, wrapped. Byte-identity of
     // `result` with run_sw_campaign is pinned by tests/planner_test.cpp.
     PlanResult pr;
-    pr.result = run_sw_campaign(app, cfg);
+    pr.result = run_sw_campaign(app, cfg, replay);
     pr.planned_trials = cfg.n_injections;
     pr.pvf = pr.result.pvf();
     pr.pvf_half_width = half_width(pr.result.sdc, pr.result.injections);
@@ -86,38 +56,26 @@ PlanResult run_planned_campaign(const App& app, const Config& cfg,
   span.set("model", fault_model_name(cfg.model));
   span.set("budget", static_cast<std::uint64_t>(cfg.n_injections));
 
-  // Golden pass: reference output plus the stratified candidate census.
-  StratifiedGoldenHook golden_hook;
-  golden_hook.memory_is_float = app.memory_is_float;
-  emu::Device golden(app.device_words);
-  golden.set_interpreter(cfg.interpreter);
-  {
-    obs::Span golden_span("swfi.golden_profile");
-    golden_span.set("app", app.name);
-    if (!app.run(golden, &golden_hook))
-      throw std::runtime_error("golden run failed for " + app.name);
-  }
-  const auto golden_out = app.read_output(golden);
-  const std::uint64_t candidates = golden_hook.candidates;
-  if (candidates == 0)
-    throw std::runtime_error("no injectable instructions in " + app.name);
+  // Golden pass: reference output, stratified candidate census and tape.
+  const detail::Golden golden = detail::run_golden(app, cfg.interpreter);
+  const std::uint64_t candidates = golden.candidates;
 
   PlanResult pr;
   pr.adaptive = true;
   pr.result.candidate_instructions = candidates;
-  pr.result.pc_exec_counts = golden_hook.profiler.pc_counts();
+  pr.result.pc_exec_counts = golden.pc_exec_counts;
 
   // Proportional budgets: each stratum gets its candidate-weighted share of
   // cfg.n_injections, floored at min_trials (tiny strata still need enough
   // trials for the interval to mean anything) and capped at max_trials.
-  for (const auto& [key, count] : golden_hook.strata) {
+  for (const auto& [key, before] : golden.stratum_before) {
     StratumResult s;
     s.op = key.first;
     s.range = key.second;
-    s.candidates = count;
+    s.candidates = before.back();
     const auto share = static_cast<std::size_t>(std::llround(
-        static_cast<double>(cfg.n_injections) * static_cast<double>(count) /
-        static_cast<double>(candidates)));
+        static_cast<double>(cfg.n_injections) *
+        static_cast<double>(s.candidates) / static_cast<double>(candidates)));
     s.budget = std::max(plan.min_trials, share);
     if (plan.max_trials > 0)
       s.budget = std::min(s.budget, std::max<std::size_t>(plan.max_trials, 1));
@@ -157,7 +115,7 @@ PlanResult run_planned_campaign(const App& app, const Config& cfg,
             InjectHook hook(cfg.model, target, rng(), cfg.db,
                             app.memory_is_float, cfg.syndrome_model);
             hook.restrict_to(s.op, s.range);
-            detail::run_one_trial(app, *dev, hook, golden_out, shard);
+            detail::run_one_trial(app, *dev, hook, golden, shard, replay);
           });
       s.trials += batch_result.injections;
       s.masked += batch_result.masked;
@@ -216,6 +174,11 @@ PlanResult run_planned_campaign(const App& app, const Config& cfg,
   span.set("trials", static_cast<std::uint64_t>(run_trials_total));
   span.set("saved", static_cast<std::uint64_t>(pr.trials_saved));
   return pr;
+}
+
+PlanResult run_planned_campaign(const App& app, const Config& cfg,
+                                const Plan& plan) {
+  return detail::run_planned_campaign(app, cfg, plan, /*replay=*/true);
 }
 
 }  // namespace gpufi::swfi

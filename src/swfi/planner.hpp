@@ -89,4 +89,10 @@ struct PlanResult {
 PlanResult run_planned_campaign(const App& app, const Config& cfg,
                                 const Plan& plan);
 
+namespace detail {
+/// run_planned_campaign, with the golden tape (`replay`) or without.
+PlanResult run_planned_campaign(const App& app, const Config& cfg,
+                                const Plan& plan, bool replay);
+}  // namespace detail
+
 }  // namespace gpufi::swfi

@@ -105,9 +105,10 @@ bool InjectHook::take_shot(const emu::RetireInfo& info) {
     ++hits_;
     return true;
   }
-  if (restricted_ &&
-      (op != r_op_ ||
-       classify_inputs(op, info.a, info.b, memory_is_float_) != r_range_))
+  if (stratum_ &&
+      (op != stratum_->first ||
+       classify_inputs(op, info.a, info.b, memory_is_float_) !=
+           stratum_->second))
     return false;
   if (seen_++ != target_) return false;
   fired_ = true;
@@ -193,6 +194,16 @@ bool InjectHook::done() const {
   return false;
 }
 
+bool InjectHook::on_cta(std::size_t run_cta) {
+  const auto* before = golden_before_;
+  if (fired_ || !before || run_cta + 1 >= before->size()) return false;
+  // Before the shot this run retires exactly the golden stream, so
+  // before[run_cta] of this hook's candidates have retired (also when the
+  // previous CTA was replayed rather than executed).
+  seen_ = (*before)[run_cta];
+  return target_ >= (*before)[run_cta + 1];
+}
+
 double Result::margin_of_error() const {
   return stats::proportion_margin_of_error(pvf(), injections);
 }
@@ -218,10 +229,90 @@ void Result::merge(const Result& other) {
 
 namespace detail {
 
+namespace {
+
+/// Golden-run hook: the candidate census, the per-pc profile, and each
+/// CTA's candidate tallies (all, and per stratum) for the golden tape.
+struct GoldenHook : emu::InstrumentHook {
+  bool memory_is_float = true;
+  emu::Profiler profiler;
+  std::vector<std::uint64_t> per_cta;  ///< candidates of each CTA
+  /// Candidates of each CTA per stratum, indexed opcode * kNumRanges +
+  /// range; grown lazily to the current CTA.
+  std::vector<std::vector<std::uint64_t>> stratum_per_cta =
+      std::vector<std::vector<std::uint64_t>>(isa::kNumOpcodes *
+                                              rtlfi::kNumRanges);
+
+  void on_retire(const emu::RetireInfo& info, std::uint32_t&) override {
+    note(info);
+  }
+  void on_pred_retire(const emu::RetireInfo& info, bool&) override {
+    note(info);
+  }
+  void on_count(const emu::RetireInfo& info) override {
+    profiler.on_count(info);
+  }
+  bool on_cta(std::size_t) override {
+    per_cta.push_back(0);
+    return false;
+  }
+
+  void note(const emu::RetireInfo& info) {
+    const Opcode op = info.instr->op;
+    if (!ProfileHook::is_candidate(op)) return;
+    ++per_cta.back();
+    const auto range = classify_inputs(op, info.a, info.b, memory_is_float);
+    auto& counts = stratum_per_cta[static_cast<std::size_t>(op) *
+                                       rtlfi::kNumRanges +
+                                   static_cast<std::size_t>(range)];
+    counts.resize(per_cta.size());
+    ++counts.back();
+  }
+};
+
+/// Running totals: out[k] = sum of per_cta[0..k), for k = 0..n_ctas.
+std::vector<std::uint64_t> prefix_sums(std::vector<std::uint64_t> per_cta,
+                                       std::size_t n_ctas) {
+  per_cta.resize(n_ctas);
+  std::vector<std::uint64_t> out(n_ctas + 1, 0);
+  for (std::size_t k = 0; k < n_ctas; ++k) out[k + 1] = out[k] + per_cta[k];
+  return out;
+}
+
+}  // namespace
+
+Golden run_golden(const App& app, emu::Interpreter interpreter) {
+  obs::Span span("swfi.golden_profile");
+  span.set("app", app.name);
+  Golden g;
+  GoldenHook hook;
+  hook.memory_is_float = app.memory_is_float;
+  emu::Device dev(app.device_words);
+  dev.set_interpreter(interpreter);
+  dev.record_tape(&g.tape);
+  if (!app.run(dev, &hook))
+    throw std::runtime_error("golden run failed for " + app.name);
+  g.out = app.read_output(dev);
+  const std::size_t n = g.tape.ctas.size();
+  g.before = prefix_sums(std::move(hook.per_cta), n);
+  g.candidates = g.before.back();
+  if (g.candidates == 0)
+    throw std::runtime_error("no injectable instructions in " + app.name);
+  for (std::size_t i = 0; i < hook.stratum_per_cta.size(); ++i) {
+    if (hook.stratum_per_cta[i].empty()) continue;
+    const Stratum s{static_cast<Opcode>(i / rtlfi::kNumRanges),
+                    static_cast<rtlfi::InputRange>(i % rtlfi::kNumRanges)};
+    g.stratum_before[s] = prefix_sums(std::move(hook.stratum_per_cta[i]), n);
+  }
+  g.pc_exec_counts = hook.profiler.pc_counts();
+  return g;
+}
+
 void run_one_trial(const App& app, emu::Device& dev, InjectHook& hook,
-                   const std::vector<std::uint32_t>& golden_out,
-                   Result& shard) {
+                   const Golden& golden, Result& shard, bool replay) {
   dev.reset();
+  dev.replay_tape(replay ? &golden.tape : nullptr);
+  hook.skip_golden_ctas(replay ? &golden.before_for(hook) : nullptr);
   const bool ok = app.run(dev, &hook);
   const bool obs_on = obs::enabled();
   if (obs_on)
@@ -241,7 +332,7 @@ void run_one_trial(const App& app, emu::Device& dev, InjectHook& hook,
     ++shard.due;
     ++site.due;
     outcome = vocab::kOutcomeDue;
-  } else if (app.read_output(dev) == golden_out) {
+  } else if (app.read_output(dev) == golden.out) {
     ++shard.masked;
     ++site.masked;
     outcome = vocab::kOutcomeMasked;
@@ -254,41 +345,15 @@ void run_one_trial(const App& app, emu::Device& dev, InjectHook& hook,
     obs::count(obs::label("gpufi_sw_outcomes_total", "outcome", outcome));
 }
 
-}  // namespace detail
-
-Result run_sw_campaign(const App& app, const Config& cfg) {
+Result run_sw_campaign(const App& app, const Config& cfg, bool replay) {
   obs::Span span("swfi.run_sw_campaign");
   span.set("app", app.name);
   span.set("model", fault_model_name(cfg.model));
   span.set("injections", static_cast<std::uint64_t>(cfg.n_injections));
 
   // Golden pass: candidate profile, per-pc execution counts (residency
-  // denominators for attribution) and reference output, in one run.
-  struct GoldenHook : emu::InstrumentHook {
-    ProfileHook profile;
-    emu::Profiler profiler;
-    void on_retire(const emu::RetireInfo& info, std::uint32_t& v) override {
-      profile.on_retire(info, v);
-    }
-    void on_pred_retire(const emu::RetireInfo& info, bool& v) override {
-      profile.on_pred_retire(info, v);
-    }
-    void on_count(const emu::RetireInfo& info) override {
-      profiler.on_count(info);
-    }
-  } golden_hook;
-  emu::Device golden(app.device_words);
-  golden.set_interpreter(cfg.interpreter);
-  {
-    obs::Span golden_span("swfi.golden_profile");
-    golden_span.set("app", app.name);
-    if (!app.run(golden, &golden_hook))
-      throw std::runtime_error("golden run failed for " + app.name);
-  }
-  const auto golden_out = app.read_output(golden);
-  const std::uint64_t candidates = golden_hook.profile.candidates();
-  if (candidates == 0)
-    throw std::runtime_error("no injectable instructions in " + app.name);
+  // denominators for attribution), reference output and golden tape.
+  const Golden golden = run_golden(app, cfg.interpreter);
 
   exec::EngineConfig ec;
   ec.n_trials = cfg.shard_count == 0 ? cfg.n_injections : cfg.shard_count;
@@ -312,14 +377,20 @@ Result run_sw_campaign(const App& app, const Config& cfg) {
       },
       [&](std::unique_ptr<emu::Device>& dev, std::size_t, Rng& rng,
           Result& shard) {
-        const std::uint64_t target = rng.below(candidates);
+        const std::uint64_t target = rng.below(golden.candidates);
         InjectHook hook(cfg.model, target, rng(), cfg.db,
                         app.memory_is_float, cfg.syndrome_model);
-        detail::run_one_trial(app, *dev, hook, golden_out, shard);
+        run_one_trial(app, *dev, hook, golden, shard, replay);
       });
-  result.candidate_instructions = candidates;
-  result.pc_exec_counts = golden_hook.profiler.pc_counts();
+  result.candidate_instructions = golden.candidates;
+  result.pc_exec_counts = golden.pc_exec_counts;
   return result;
+}
+
+}  // namespace detail
+
+Result run_sw_campaign(const App& app, const Config& cfg) {
+  return detail::run_sw_campaign(app, cfg, /*replay=*/true);
 }
 
 }  // namespace gpufi::swfi

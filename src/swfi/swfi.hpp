@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +63,10 @@ struct App {
 rtlfi::InputRange classify_inputs(isa::Opcode op, std::uint32_t a,
                                   std::uint32_t b, bool memory_is_float);
 
+/// A stratum of the injection space: the candidate retirements of one
+/// opcode whose inputs classify into one syndrome magnitude class.
+using Stratum = std::pair<isa::Opcode, rtlfi::InputRange>;
+
 /// Profile pass: counts the dynamic instructions eligible for injection
 /// (RTL-characterized opcodes that produce a register or predicate value).
 class ProfileHook : public emu::InstrumentHook {
@@ -98,15 +103,26 @@ class InjectHook : public emu::InstrumentHook {
   /// fault-induced hang (a corrupted loop counter spinning to the watchdog)
   /// cost unhooked-execution time instead of per-lane callback time.
   bool done() const override;
+  /// Golden-tape replay: until the shot, asks the device to replay every CTA
+  /// whose candidates (of the class this hook counts) do not include the
+  /// target, instead of executing it. Needs skip_golden_ctas.
+  bool on_cta(std::size_t run_cta) override;
 
   /// Planner stratification: count (and target) only candidate retirements
   /// of `op` whose inputs classify into `range` — `target` then indexes the
   /// matching candidates only. Continuation firing (sticky/warp models) is
   /// unaffected; it images the same physical fault.
   void restrict_to(isa::Opcode op, rtlfi::InputRange range) {
-    restricted_ = true;
-    r_op_ = op;
-    r_range_ = range;
+    stratum_ = Stratum{op, range};
+  }
+  /// The stratum set by restrict_to (nullopt: every candidate counts).
+  const std::optional<Stratum>& stratum() const { return stratum_; }
+  /// Enables on_cta skipping: `before[k]` is the number of candidates this
+  /// hook counts that retire before CTA k of the golden run (one entry per
+  /// golden CTA plus the total). nullptr disables it. The vector must
+  /// outlive the trial.
+  void skip_golden_ctas(const std::vector<std::uint64_t>* before) {
+    golden_before_ = before;
   }
 
   bool fired() const { return fired_; }
@@ -145,10 +161,8 @@ class InjectHook : public emu::InstrumentHook {
   bool armed_ = true;
   std::int32_t hit_pc_ = -1;
   unsigned hit_cta_ = 0, hit_warp_ = 0;
-  // Optional stratum restriction (planner).
-  bool restricted_ = false;
-  isa::Opcode r_op_ = isa::Opcode::NOP;
-  rtlfi::InputRange r_range_ = rtlfi::InputRange::Small;
+  std::optional<Stratum> stratum_;  ///< planner restriction
+  const std::vector<std::uint64_t>* golden_before_ = nullptr;
 };
 
 /// Software fault-injection campaign parameters.
@@ -245,13 +259,41 @@ Result run_sw_campaign(const App& app, const Config& cfg);
 
 namespace detail {
 
+/// Everything a campaign's golden run yields: the reference output, the
+/// candidate census, the per-pc profile and the golden tape with the
+/// candidate counts its CTAs skip over.
+struct Golden {
+  std::vector<std::uint32_t> out;
+  std::uint64_t candidates = 0;
+  std::vector<std::uint64_t> pc_exec_counts;
+  emu::CtaTape tape;
+  /// Candidates retired before each tape CTA, plus the total at the end
+  /// (tape.ctas.size() + 1 entries): every candidate, and per stratum (the
+  /// strata present in the run, whose last entry is the stratum's size).
+  std::vector<std::uint64_t> before;
+  std::map<Stratum, std::vector<std::uint64_t>> stratum_before;
+
+  /// The `before` counts of the class `hook` counts.
+  const std::vector<std::uint64_t>& before_for(const InjectHook& hook) const {
+    return hook.stratum() ? stratum_before.at(*hook.stratum()) : before;
+  }
+};
+
+/// The golden run shared by run_sw_campaign and the planner. Throws if the
+/// run fails or has no injection candidate.
+Golden run_golden(const App& app, emu::Interpreter interpreter);
+
 /// One injection trial, shared by run_sw_campaign and the planner: resets
 /// the reused `dev`, runs the app with `hook` attached, classifies the
-/// outcome against `golden_out`, and records counters, the site-table entry
-/// and the per-trial obs counters into `shard`.
+/// outcome against the golden output, and records counters, the site-table
+/// entry and the per-trial obs counters into `shard`. With `replay` the CTAs
+/// before the shot replay from the golden tape; the outcome is identical
+/// without it (the path tests compare against).
 void run_one_trial(const App& app, emu::Device& dev, InjectHook& hook,
-                   const std::vector<std::uint32_t>& golden_out,
-                   Result& shard);
+                   const Golden& golden, Result& shard, bool replay);
+
+/// run_sw_campaign, with the golden tape (`replay`) or without.
+Result run_sw_campaign(const App& app, const Config& cfg, bool replay);
 
 }  // namespace detail
 

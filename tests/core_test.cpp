@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "core/gpufi.hpp"
 #include "emu/device.hpp"
@@ -11,11 +14,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Temp directory fixture.
+/// Temp directory fixture: one directory per test and process, so test
+/// binaries running in parallel (ctest -j) never delete each other's files.
 class CoreFacade : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "gpufi_core_test";
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           ("gpufi_core_test_" + std::string(info->name()) + "_" +
+            std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -179,6 +179,88 @@ TEST(Fp32Fma, StagePipelineAgreesWithOneShot) {
   }
 }
 
+// ------------------------------------- host arithmetic == staged datapath
+//
+// The emulator computes FADD/FMUL/FFMA with fma_host_bits; the RTL model
+// with the staged fma_bits. They must agree on every bit, NaNs included.
+
+void expect_host_matches_datapath(FpOp op, std::uint64_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint32_t a = random_float_bits(rng);
+    const std::uint32_t b = random_float_bits(rng);
+    const std::uint32_t c = random_float_bits(rng);
+    ASSERT_EQ(fma_host_bits(a, b, c, op), fma_bits(a, b, c, op))
+        << "op=" << static_cast<int>(op) << std::hex << " a=" << a
+        << " b=" << b << " c=" << c;
+  }
+}
+
+TEST(Fp32Host, AddMatchesDatapathOnRandomPatterns) {
+  expect_host_matches_datapath(FpOp::Add, 201);
+}
+
+TEST(Fp32Host, MulMatchesDatapathOnRandomPatterns) {
+  expect_host_matches_datapath(FpOp::Mul, 202);
+}
+
+TEST(Fp32Host, FmaMatchesDatapathOnRandomPatterns) {
+  expect_host_matches_datapath(FpOp::Fma, 203);
+}
+
+TEST(Fp32Host, EdgeCasesMatchDatapath) {
+  const std::uint32_t pz = 0x00000000u, nz = 0x80000000u;
+  const std::uint32_t one = bits_of(1.0f), mone = bits_of(-1.0f);
+  const std::uint32_t inf = 0x7f800000u, ninf = 0xff800000u;
+  const std::uint32_t min_sub = 0x00000001u, max_sub = 0x007fffffu;
+  const std::uint32_t min_norm = 0x00800000u, max_norm = 0x7f7fffffu;
+  const std::uint32_t nan_payload = 0x7fa12345u;  // signalling, payload
+  const std::uint32_t neg_qnan = 0xffc00001u;     // negative quiet, payload
+  struct Case {
+    std::uint32_t a, b, c;
+    std::uint32_t want_add, want_mul, want_fma;
+  };
+  const Case cases[] = {
+      // Zero-sign rules: opposite zeros add to +0, same-signed keep it.
+      {pz, nz, nz, pz, nz, nz},
+      {nz, nz, pz, nz, pz, pz},
+      {mone, pz, nz, mone, nz, nz},
+      {one, mone, pz, pz, mone, mone},
+      // Subnormal results (gradual underflow).
+      {min_norm, bits_of(0.5f), pz, bits_of(0.5f), 0x00400000u, 0x00400000u},
+      {max_sub, min_sub, nz, 0x00800000u, pz, pz},
+      // A nonzero result that rounds to zero keeps its sign.
+      {min_sub, bits_of(-0.5f), pz, bits_of(-0.5f), nz, nz},
+      // Overflow to infinity.
+      {max_norm, max_norm, max_norm, inf, inf, inf},
+      {bits_of(-3e38f), bits_of(3e38f), bits_of(-3e38f), pz, ninf, ninf},
+      // inf - inf and 0 * inf are invalid: canonical NaN.
+      {inf, ninf, inf, kCanonicalNaN, ninf, kCanonicalNaN},
+      {pz, inf, one, inf, kCanonicalNaN, kCanonicalNaN},
+      // NaN inputs, whatever their sign and payload, give canonical NaN.
+      {nan_payload, one, one, kCanonicalNaN, kCanonicalNaN, kCanonicalNaN},
+      {one, neg_qnan, one, kCanonicalNaN, kCanonicalNaN, kCanonicalNaN},
+      {one, one, nan_payload, bits_of(2.0f), one, kCanonicalNaN},
+      // One rounding for FFMA: (1+2^-12)^2 = 1 + 2^-11 + 2^-24 is a float
+      // tie (FMUL rounds it to even), and the tiny addend breaks the tie
+      // upward. Rounding through a double first would lose the addend.
+      {0x3f800800u, 0x3f800800u, bits_of(0x1p-80f), 0x40000800u,
+       0x3f801000u, 0x3f801001u},
+  };
+  for (const Case& t : cases) {
+    const std::uint32_t want[] = {t.want_add, t.want_mul, t.want_fma};
+    for (const FpOp op : {FpOp::Add, FpOp::Mul, FpOp::Fma}) {
+      const auto i = static_cast<std::size_t>(op);
+      EXPECT_EQ(fma_bits(t.a, t.b, t.c, op), want[i])
+          << "datapath op=" << i << std::hex << " a=" << t.a << " b=" << t.b
+          << " c=" << t.c;
+      EXPECT_EQ(fma_host_bits(t.a, t.b, t.c, op), want[i])
+          << "host op=" << i << std::hex << " a=" << t.a << " b=" << t.b
+          << " c=" << t.c;
+    }
+  }
+}
+
 // -------------------------------------------------------------- integer MAD
 
 TEST(IntMad, BasicIdentities) {

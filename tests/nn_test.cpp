@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "nn/gpu_infer.hpp"
 #include "nn/network.hpp"
@@ -44,16 +51,87 @@ TEST(Network, GradientCheckPasses) {
   EXPECT_LT(gradient_check(rng), 2e-2);
 }
 
+/// A scratch file path unique to the running test and process, so test
+/// binaries running in parallel (ctest -j) never share a file.
+std::string scratch_path() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return (std::filesystem::temp_directory_path() /
+          ("gpufi_nn_" + std::string(info->test_suite_name()) + "_" +
+           info->name() + "_" + std::to_string(::getpid()) + ".gfnn"))
+      .string();
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Expects load_file to throw a std::runtime_error that names the file.
+void expect_load_rejects(const std::string& path) {
+  try {
+    (void)Network::load_file(path);
+    ADD_FAILURE() << "loaded " << path;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Network, SerializationRoundTrip) {
   Rng rng(4);
   auto net = make_lenet(rng);
-  const std::string path = "/tmp/gpufi_nn_test.gfnn";
+  const std::string path = scratch_path();
   net.save_file(path);
   const auto loaded = Network::load_file(path);
   EXPECT_EQ(loaded.name, net.name);
   ASSERT_EQ(loaded.convs.size(), net.convs.size());
   EXPECT_EQ(loaded.convs[1].weights, net.convs[1].weights);
   EXPECT_EQ(loaded.fcs[0].bias, net.fcs[0].bias);
+  std::remove(path.c_str());
+}
+
+TEST(Network, LoadRejectsTheCommittedStaleWeights) {
+  // Written by an older layout: parsed today, its first conv declares
+  // 1,946,157,056 weights.
+  expect_load_rejects(GPUFI_TEST_DATA_DIR "/lenet.gfnn");
+}
+
+TEST(Network, LoadRejectsATruncatedFile) {
+  Rng rng(5);
+  const std::string path = scratch_path();
+  make_lenet(rng).save_file(path);
+  const std::string bytes = read_bytes(path);
+  for (const std::size_t keep : {std::size_t{2}, std::size_t{30},
+                                 bytes.size() / 2, bytes.size() - 1}) {
+    write_bytes(path, bytes.substr(0, keep));
+    expect_load_rejects(path);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Network, LoadRejectsAFlippedCount) {
+  Rng rng(6);
+  const Network net = make_lenet(rng);
+  const std::string path = scratch_path();
+  net.save_file(path);
+  std::string bytes = read_bytes(path);
+  // magic, name length + name, input shape, conv count, 7 conv fields:
+  // then the first conv's weight count.
+  const std::size_t weights_count = 4 + 4 + net.name.size() + 12 + 4 + 28;
+  std::uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + weights_count, 4);
+  ASSERT_EQ(count, net.convs[0].weights.size());
+  for (const std::uint32_t flip : {1u, 1u << 20, 1u << 31}) {
+    std::string mutated = bytes;
+    const std::uint32_t bad = count ^ flip;
+    std::memcpy(mutated.data() + weights_count, &bad, 4);
+    write_bytes(path, mutated);
+    expect_load_rejects(path);
+  }
   std::remove(path.c_str());
 }
 
