@@ -28,17 +28,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/gpufi.hpp"
-#include "fabric/coordinator.hpp"
 #include "fabric/transport.hpp"
 #include "fabric/worker.hpp"
 #include "nn/gpu_infer.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rtlfi/campaign.hpp"
 #include "rtlfi/microbench.hpp"
@@ -172,54 +172,47 @@ bool parse_int_strict(const std::string& s, int& out) {
   char* end = nullptr;
   const long v = std::strtol(s.c_str(), &end, 10);
   if (errno != 0 || end != s.c_str() + s.size()) return false;
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    return false;
   out = static_cast<int>(v);
   return true;
 }
 
 /// Pulls "--name value" pairs out of argv. Strict: an unknown flag, a flag
-/// missing its value, a malformed number, or an invalid enum value is a hard
-/// usage error (nullopt; the caller exits 2), never a warning.
+/// missing its value, a malformed or out-of-range number, or an invalid enum
+/// value is a hard usage error (nullopt; the caller exits 2), never a
+/// warning — on every command, whether or not it uses the flag.
 struct Options {
-  std::size_t faults = 2000;
-  std::size_t injections = 300;
-  std::uint64_t seed = 1;
-  std::string db_path = "gpufi_data/syndromes.db";
-  std::string models_dir = "gpufi_data";
-  std::string range = "M";
-  std::string tile = "random";
-  unsigned jobs = 0;  ///< 0 = GPUFI_JOBS env or hardware concurrency
-  std::string accel = "full";
-  /// --fault-model raw value; single token for campaigns, comma list for
-  /// build-db. `fault_models` holds the validated parse.
-  std::string fault_model = "transient";
+  /// Campaign flags parse straight into the spec the serve:: runners take,
+  /// so their defaults live in CampaignSpec. The one CLI difference: --jobs
+  /// defaults to 0 (GPUFI_JOBS env or all hardware threads); submit maps 0
+  /// to the daemon's one core per request.
+  serve::CampaignSpec spec{.jobs = 0};
+  /// Validated --fault-model tokens (build-db takes a comma list; the raw
+  /// value is spec.fault_model, which campaigns require to be one token).
   std::vector<rtl::FaultModel> fault_models = {rtl::FaultModel::Transient};
-  std::uint64_t fault_duration = 0;  ///< 0 = permanent (non-transient)
-  std::uint64_t burst_period = 8;
   // serve/submit/status options
   std::string socket = serve::kDefaultSocketPath;
   bool socket_set = false;  ///< --socket given (report: route via daemon)
-  unsigned workers = 2;
-  bool workers_set = false;  ///< --workers given (submit: fabric fan-out)
+  /// serve: executor pool size; submit: fabric fan-out width.
+  std::optional<unsigned> workers;
   std::size_t queue = 64;
-  int priority = 0;
-  std::uint64_t deadline_ms = 0;
   // fabric options
   std::string fabric;   ///< serve: coordinator listen address ("" = off)
   std::string connect;  ///< worker: coordinator address to dial
   std::string name;     ///< worker: registration name ("" = worker-<pid>)
   std::uint64_t heartbeat_ms = 500;  ///< worker: liveness ping period
   // observability options
-  std::size_t progress_interval = 0;  ///< 0 = adaptive (~2% steps)
-  std::string trace_out;              ///< JSONL span/event sink ("" = off)
-  bool metrics = false;               ///< status: scrape Prometheus text
+  std::string trace_out;  ///< JSONL span/event sink ("" = off)
+  bool metrics = false;   ///< status: scrape Prometheus text
   // report options
-  bool json = false;      ///< report: machine-readable rendering
-  std::string out_path;   ///< report: write here (atomic) instead of stdout
-  // sw planner options
-  std::string plan;       ///< --plan raw vocabulary ("" = fixed campaign)
+  bool json = false;     ///< report: machine-readable rendering
+  std::string out_path;  ///< report: write here (atomic) instead of stdout
 
   static std::optional<Options> parse(int argc, char** argv, int first) {
     Options o;
+    serve::CampaignSpec& spec = o.spec;
     int i = first;
     while (i < argc) {
       const std::string key = argv[i];
@@ -244,156 +237,164 @@ struct Options {
       }
       const std::string val = argv[i + 1];
       i += 2;
-      std::uint64_t n = 0;
-      const auto number = [&]() -> bool {
-        if (parse_u64_strict(val, n)) return true;
-        usage_error("option " + key + " expects a number, got '" + val + "'");
+      const auto fail = [](const std::string& what) {
+        usage_error(what);
         return false;
       };
+      // Parses `val` into an unsigned field; a value the field cannot hold
+      // is a usage error, never a truncation.
+      const auto number = [&](auto& dst) {
+        using Field = std::remove_reference_t<decltype(dst)>;
+        std::uint64_t n = 0;
+        if (!parse_u64_strict(val, n) || n > std::numeric_limits<Field>::max())
+          return fail("option " + key + " expects a number, got '" + val + "'");
+        dst = static_cast<Field>(n);
+        return true;
+      };
+      const auto endpoint = [&](std::string& dst) {
+        dst = val;
+        return fabric::parse_endpoint(val).has_value() ||
+               fail("bad " + key + " address '" + val +
+                    "' (expected unix:PATH or tcp:HOST:PORT)");
+      };
+      const auto out_file = [&](std::string& dst) {
+        dst = val;
+        return writable_parent(val) ||
+               fail(key + " parent directory is missing or not writable: " +
+                    val);
+      };
+      bool ok = true;
       if (key == "--faults") {
-        if (!number()) return std::nullopt;
-        o.faults = n;
+        ok = number(spec.faults);
       } else if (key == "--injections") {
-        if (!number()) return std::nullopt;
-        o.injections = n;
+        ok = number(spec.injections);
       } else if (key == "--seed") {
-        if (!number()) return std::nullopt;
-        o.seed = n;
+        ok = number(spec.seed);
       } else if (key == "--jobs") {
-        if (!number()) return std::nullopt;
-        o.jobs = static_cast<unsigned>(n);
+        ok = number(spec.jobs);
       } else if (key == "--workers") {
-        if (!number()) return std::nullopt;
-        o.workers = static_cast<unsigned>(n);
-        o.workers_set = true;
+        ok = number(o.workers.emplace());
       } else if (key == "--fabric") {
-        if (!fabric::parse_endpoint(val)) {
-          usage_error("bad --fabric address '" + val +
-                      "' (expected unix:PATH or tcp:HOST:PORT)");
-          return std::nullopt;
-        }
-        o.fabric = val;
+        ok = endpoint(o.fabric);
       } else if (key == "--connect") {
-        if (!fabric::parse_endpoint(val)) {
-          usage_error("bad --connect address '" + val +
-                      "' (expected unix:PATH or tcp:HOST:PORT)");
-          return std::nullopt;
-        }
-        o.connect = val;
+        ok = endpoint(o.connect);
       } else if (key == "--name") {
         o.name = val;
       } else if (key == "--heartbeat") {
-        if (!number()) return std::nullopt;
-        if (n == 0) {
-          usage_error("option --heartbeat expects a positive millisecond "
-                      "count");
-          return std::nullopt;
-        }
-        o.heartbeat_ms = n;
+        ok = number(o.heartbeat_ms) &&
+             (o.heartbeat_ms != 0 ||
+              fail("option --heartbeat expects a positive millisecond count"));
       } else if (key == "--queue") {
-        if (!number()) return std::nullopt;
-        o.queue = n;
+        ok = number(o.queue);
       } else if (key == "--deadline") {
-        if (!number()) return std::nullopt;
-        o.deadline_ms = n;
+        ok = number(spec.deadline_ms);
       } else if (key == "--priority") {
-        if (!parse_int_strict(val, o.priority)) {
-          usage_error("option --priority expects an integer, got '" + val +
-                      "'");
-          return std::nullopt;
-        }
+        ok = parse_int_strict(val, spec.priority) ||
+             fail("option --priority expects an integer, got '" + val + "'");
       } else if (key == "--db") {
-        o.db_path = val;
+        spec.db_path = val;
       } else if (key == "--models") {
-        o.models_dir = val;
+        spec.models_dir = val;
       } else if (key == "--socket") {
         o.socket = val;
         o.socket_set = true;
       } else if (key == "--out") {
-        if (!writable_parent(val)) {
-          usage_error("--out parent directory is missing or not writable: " +
-                      val);
-          return std::nullopt;
-        }
-        o.out_path = val;
+        ok = out_file(o.out_path);
+      } else if (key == "--trace-out") {
+        ok = out_file(o.trace_out);
       } else if (key == "--range") {
-        if (!serve::parse_range(val)) {
-          usage_error("unknown --range '" + val + "' (expected S|M|L)");
-          return std::nullopt;
-        }
-        o.range = val;
+        spec.range = val;
+        ok = vocab::parse_range(val).has_value() ||
+             fail("unknown --range '" + val + "' (expected S|M|L)");
       } else if (key == "--tile") {
-        if (!serve::parse_tile(val)) {
-          usage_error("unknown --tile '" + val +
-                      "' (expected max|zero|random)");
-          return std::nullopt;
-        }
-        o.tile = val;
+        spec.tile = val;
+        ok = vocab::parse_tile(val).has_value() ||
+             fail("unknown --tile '" + val + "' (expected max|zero|random)");
       } else if (key == "--accel") {
-        if (!serve::parse_acceleration(val)) {
-          usage_error("unknown --accel level '" + val +
-                      "' (expected none|checkpoint|full)");
-          return std::nullopt;
-        }
-        o.accel = val;
+        spec.accel = val;
+        ok = vocab::parse_acceleration(val).has_value() ||
+             fail("unknown --accel level '" + val +
+                  "' (expected none|checkpoint|full)");
       } else if (key == "--fault-model") {
+        spec.fault_model = val;
         o.fault_models.clear();
         std::size_t pos = 0;
-        while (pos <= val.size()) {
+        while (ok && pos <= val.size()) {
           std::size_t comma = val.find(',', pos);
           if (comma == std::string::npos) comma = val.size();
           const std::string tok = val.substr(pos, comma - pos);
           const auto m = vocab::parse_fault_model(tok);
-          if (!m) {
-            usage_error("unknown --fault-model '" + tok +
-                        "' (expected transient|stuck0|stuck1|burst)");
-            return std::nullopt;
-          }
-          o.fault_models.push_back(*m);
+          if (m) o.fault_models.push_back(*m);
+          ok = m || fail("unknown --fault-model '" + tok +
+                         "' (expected transient|stuck0|stuck1|burst)");
           pos = comma + 1;
         }
-        o.fault_model = val;
       } else if (key == "--fault-duration") {
-        if (!number()) return std::nullopt;
-        o.fault_duration = n;
+        ok = number(spec.fault_duration);
       } else if (key == "--burst-period") {
-        if (!number()) return std::nullopt;
-        o.burst_period = n;
+        ok = number(spec.burst_period);
       } else if (key == "--plan") {
+        spec.plan = val;
         std::string err;
-        if (!vocab::parse_plan(val, &err)) {
-          usage_error(err);
-          return std::nullopt;
-        }
-        o.plan = val;
+        ok = vocab::parse_plan(val, &err).has_value() || fail(err);
       } else if (key == "--progress-interval") {
         const auto iv = vocab::parse_progress_interval(val);
-        if (!iv) {
-          usage_error("option --progress-interval expects a positive trial "
-                      "count, got '" + val + "'");
-          return std::nullopt;
-        }
-        o.progress_interval = *iv;
-      } else if (key == "--trace-out") {
-        if (!writable_parent(val)) {
-          usage_error(
-              "--trace-out parent directory is missing or not writable: " +
-              val);
-          return std::nullopt;
-        }
-        o.trace_out = val;
+        spec.progress_interval = iv.value_or(0);
+        ok = iv || fail("option --progress-interval expects a positive "
+                        "trial count, got '" + val + "'");
       } else {
-        usage_error("unknown option " + key);
-        return std::nullopt;
+        ok = fail("unknown option " + key);
       }
+      if (!ok) return std::nullopt;
     }
     return o;
   }
-
-  rtlfi::Acceleration acceleration() const {
-    return *serve::parse_acceleration(accel);
-  }
 };
+
+/// Checks a campaign spec the way the runners will, so a bad name or an
+/// out-of-place flag such as --plan on an rtl campaign is a usage error
+/// (exit 2), not a runtime failure.
+bool check_campaign(const serve::CampaignSpec& spec) {
+  const auto err = serve::validate_spec(spec);
+  if (err) usage_error(*err);
+  return !err;
+}
+
+/// Parses a campaign command whose positional arguments start at
+/// argv[first] — rtl: <op> <module>; tmxm: <site>; sw: <app> <model>;
+/// cnn: <net> <model>, the same for `gpufi <kind>` and `gpufi submit <kind>`
+/// — then its flags, into one checked spec. Nullopt: usage error (exit 2).
+std::optional<Options> parse_campaign(serve::CampaignKind kind, int argc,
+                                      char** argv, int first) {
+  const int flags = first + (kind == serve::CampaignKind::Tmxm ? 1 : 2);
+  if (argc < flags) {
+    usage();
+    return std::nullopt;
+  }
+  auto o = Options::parse(argc, argv, flags);
+  if (!o) return std::nullopt;
+  serve::CampaignSpec& spec = o->spec;
+  spec.kind = kind;
+  switch (kind) {
+    case serve::CampaignKind::Rtl:
+      spec.op = argv[first];
+      spec.module = argv[first + 1];
+      break;
+    case serve::CampaignKind::Tmxm:
+      spec.module = argv[first];
+      break;
+    case serve::CampaignKind::Sw:
+      spec.app = argv[first];
+      spec.model = argv[first + 1];
+      break;
+    case serve::CampaignKind::Cnn:
+      spec.net = argv[first];
+      spec.model = argv[first + 1];
+      break;
+  }
+  if (!check_campaign(spec)) return std::nullopt;
+  return o;
+}
 
 /// Installs the process-wide JSONL trace sink when --trace-out was given.
 /// TraceSink::open throws on an unwritable path; main() maps that to exit 1.
@@ -440,71 +441,44 @@ int cmd_modules() {
 }
 
 int cmd_rtl(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const auto op = serve::parse_opcode(argv[2]);
-  if (!op) return usage_error(std::string("unknown instruction '") + argv[2] +
-                              "'");
-  const auto module = serve::parse_module(argv[3]);
-  if (!module)
-    return usage_error(std::string("unknown module '") + argv[3] + "'");
-  const auto o = Options::parse(argc, argv, 4);
+  const auto o = parse_campaign(serve::CampaignKind::Rtl, argc, argv, 2);
   if (!o) return 2;
-  if (o->fault_models.size() != 1)
-    return usage_error("gpufi rtl expects a single --fault-model");
   install_trace_sink(*o);
-  const auto range = *serve::parse_range(o->range);
-  const auto w = rtlfi::make_microbenchmark(*op, range, o->seed);
-  rtlfi::CampaignConfig cfg;
-  cfg.module = *module;
-  cfg.n_faults = o->faults;
-  cfg.seed = o->seed;
-  cfg.jobs = o->jobs;
-  cfg.acceleration = o->acceleration();
-  cfg.fault_model = o->fault_models[0];
-  cfg.fault_duration = o->fault_duration;
-  cfg.burst_period = o->burst_period;
-  cfg.progress = stderr_progress("injections");
-  cfg.progress_interval = o->progress_interval;
+  const serve::CampaignSpec& spec = o->spec;
   std::printf("== RTL campaign: %s on %s (%s inputs, %s faults), %zu faults\n",
-              std::string(isa::mnemonic(*op)).c_str(),
-              std::string(rtl::module_name(*module)).c_str(),
-              std::string(rtlfi::range_name(range)).c_str(),
-              std::string(rtl::fault_model_name(cfg.fault_model)).c_str(),
-              o->faults);
-  print_campaign(rtlfi::run_campaign(w, cfg));
+              std::string(isa::mnemonic(*vocab::parse_opcode(spec.op))).c_str(),
+              std::string(rtl::module_name(*vocab::parse_module(spec.module)))
+                  .c_str(),
+              std::string(rtlfi::range_name(*vocab::parse_range(spec.range)))
+                  .c_str(),
+              std::string(rtl::fault_model_name(
+                              *vocab::parse_fault_model(spec.fault_model)))
+                  .c_str(),
+              spec.faults);
+  serve::Caches caches;
+  print_campaign(serve::run_rtl_spec(spec, caches,
+                                     stderr_progress("injections"), nullptr));
   return 0;
 }
 
 int cmd_tmxm(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const auto site = serve::parse_module(argv[2]);
-  if (!site)
-    return usage_error(std::string("unknown site '") + argv[2] + "'");
-  const auto o = Options::parse(argc, argv, 3);
+  const auto o = parse_campaign(serve::CampaignKind::Tmxm, argc, argv, 2);
   if (!o) return 2;
-  if (o->fault_models.size() != 1)
-    return usage_error("gpufi tmxm expects a single --fault-model");
   install_trace_sink(*o);
-  const auto kind = *serve::parse_tile(o->tile);
-  rtlfi::CampaignConfig cfg;
-  cfg.module = *site;
-  cfg.n_faults = o->faults;
-  cfg.seed = o->seed;
-  cfg.jobs = o->jobs;
-  cfg.acceleration = o->acceleration();
-  cfg.fault_model = o->fault_models[0];
-  cfg.fault_duration = o->fault_duration;
-  cfg.burst_period = o->burst_period;
-  cfg.progress = stderr_progress("injections");
-  cfg.progress_interval = o->progress_interval;
+  const serve::CampaignSpec& spec = o->spec;
+  const auto site = *vocab::parse_module(spec.module);
   std::printf("== t-MxM campaign: %s site, %s tile, %zu faults\n",
-              std::string(rtl::module_name(*site)).c_str(),
-              std::string(rtlfi::tile_name(kind)).c_str(), o->faults);
-  const auto r = rtlfi::run_campaign(rtlfi::make_tmxm(kind, o->seed), cfg);
+              std::string(rtl::module_name(site)).c_str(),
+              std::string(rtlfi::tile_name(*vocab::parse_tile(spec.tile)))
+                  .c_str(),
+              spec.faults);
+  serve::Caches caches;
+  const auto r = serve::run_rtl_spec(spec, caches,
+                                     stderr_progress("injections"), nullptr);
   print_campaign(r);
   syndrome::Database db;
-  db.add_tmxm_campaign(*site, 8, 8, r);
-  const auto& stats = db.tmxm(*site);
+  db.add_tmxm_campaign(site, 8, 8, r);
+  const auto& stats = db.tmxm(site);
   std::printf("patterns:");
   for (std::size_t p = 0; p < syndrome::kNumPatterns; ++p)
     std::printf(" %s=%zu",
@@ -522,15 +496,15 @@ int cmd_build_db(int argc, char** argv) {
   if (!o) return 2;
   install_trace_sink(*o);
   core::RtlCharacterizationConfig cfg;
-  cfg.faults_per_campaign = o->faults;
-  cfg.jobs = o->jobs;
-  cfg.acceleration = o->acceleration();
+  cfg.faults_per_campaign = o->spec.faults;
+  cfg.jobs = o->spec.jobs;
+  cfg.acceleration = *vocab::parse_acceleration(o->spec.accel);
   cfg.fault_models = o->fault_models;
   cfg.progress = stderr_progress("campaigns");
-  cfg.progress_interval = o->progress_interval;
+  cfg.progress_interval = o->spec.progress_interval;
   std::printf("building syndrome database (%zu faults/campaign, models: %s)"
               "...\n",
-              cfg.faults_per_campaign, o->fault_model.c_str());
+              cfg.faults_per_campaign, o->spec.fault_model.c_str());
   const auto db = core::build_syndrome_database(cfg);
   db.save_file(argv[2]);
   std::printf("wrote %s (%zu distributions)\n", argv[2], db.keys().size());
@@ -538,47 +512,25 @@ int cmd_build_db(int argc, char** argv) {
 }
 
 int cmd_sw(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const std::string app_name = argv[2];
-  const std::string model_name = argv[3];
-  const auto o = Options::parse(argc, argv, 4);
+  const auto o = parse_campaign(serve::CampaignKind::Sw, argc, argv, 2);
   if (!o) return 2;
-  if (!vocab::is_known_app(app_name))
-    return usage_error("unknown app '" + app_name + "'");
-  const auto model = vocab::parse_sw_model(model_name);
-  if (!model) return usage_error("unknown fault model '" + model_name + "'");
   install_trace_sink(*o);
-  const auto app = vocab::make_app(app_name);
-  swfi::Config cfg;
-  cfg.model = *model;
-  cfg.n_injections = o->injections;
-  cfg.seed = o->seed;
-  cfg.jobs = o->jobs;
-  cfg.progress = stderr_progress("injections");
-  cfg.progress_interval = o->progress_interval;
-  std::optional<syndrome::Database> db;
-  const bool needs_db = cfg.model == swfi::FaultModel::RelativeError ||
-                        cfg.model == swfi::FaultModel::WarpRelativeError ||
-                        cfg.model == swfi::FaultModel::StickyRelativeError;
-  if (needs_db) {
-    core::RtlCharacterizationConfig dbcfg;
-    dbcfg.jobs = o->jobs;
-    dbcfg.progress = stderr_progress("campaigns");
-    db = core::ensure_syndrome_database(o->db_path, dbcfg);
-    cfg.db = &*db;
-    // Sticky replay images a permanently stuck datapath FF: sample the
-    // stuck-at-1 syndrome class (transient fallback inside the database).
-    if (cfg.model == swfi::FaultModel::StickyRelativeError)
-      cfg.syndrome_model = rtl::FaultModel::StuckAt1;
-  }
-  if (!o->plan.empty()) {
-    const auto plan = *vocab::parse_plan(o->plan);  // validated at parse time
+  const serve::CampaignSpec& spec = o->spec;
+  serve::Caches caches(stderr_progress("campaigns"));
+  // A replayed DB loads (or builds) before the header, as the campaign
+  // cannot start without it; the runner then finds it cached.
+  serve::syndrome_db_for_spec(spec, caches);
+  const std::string app = vocab::make_app(spec.app).app.name;
+  const std::string model(
+      swfi::fault_model_name(*vocab::parse_sw_model(spec.model)));
+  const auto progress = stderr_progress("injections");
+  if (!spec.plan.empty()) {
     std::printf("== planned software campaign: %s under %s, budget %zu "
                 "(target_err %.3g)\n",
-                app.app.name.c_str(),
-                std::string(fault_model_name(cfg.model)).c_str(),
-                o->injections, plan.target_err);
-    const auto pr = swfi::run_planned_campaign(app.app, cfg, plan);
+                app.c_str(), model.c_str(), spec.injections,
+                vocab::parse_plan(spec.plan)->target_err);
+    const auto pr =
+        serve::run_planned_sw_spec(spec, caches, progress, nullptr);
     std::printf("candidates %llu\n",
                 static_cast<unsigned long long>(
                     pr.result.candidate_instructions));
@@ -599,10 +551,8 @@ int cmd_sw(int argc, char** argv) {
     return 0;
   }
   std::printf("== software campaign: %s under %s, %zu injections\n",
-              app.app.name.c_str(),
-              std::string(fault_model_name(cfg.model)).c_str(),
-              o->injections);
-  const auto r = swfi::run_sw_campaign(app.app, cfg);
+              app.c_str(), model.c_str(), spec.injections);
+  const auto r = serve::run_sw_spec(spec, caches, progress, nullptr);
   std::printf("candidates %llu\nPVF        %.3f +- %.3f\nSDC %zu / masked "
               "%zu / DUE %zu\n",
               static_cast<unsigned long long>(r.candidate_instructions),
@@ -611,30 +561,17 @@ int cmd_sw(int argc, char** argv) {
 }
 
 int cmd_cnn(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const std::string net_name = argv[2];
-  const std::string model_name = argv[3];
-  const auto o = Options::parse(argc, argv, 4);
+  const auto o = parse_campaign(serve::CampaignKind::Cnn, argc, argv, 2);
   if (!o) return 2;
-  const bool lenet = net_name == "lenet";
-  if (!lenet && net_name != "yolo")
-    return usage_error("unknown network '" + net_name + "'");
-  const auto model = serve::parse_cnn_model(model_name);
-  if (!model) return usage_error("unknown fault model '" + model_name + "'");
   install_trace_sink(*o);
-  core::RtlCharacterizationConfig dbcfg;
-  dbcfg.jobs = o->jobs;
-  dbcfg.progress = stderr_progress("campaigns");
-  dbcfg.progress_interval = o->progress_interval;
-  const auto db = core::ensure_syndrome_database(o->db_path, dbcfg);
-  const auto models = core::ensure_models(o->models_dir);
-  const auto r = nn::run_cnn_campaign(
-      lenet ? models.lenet : models.yololite,
-      lenet ? nn::CnnTask::Classification : nn::CnnTask::Detection, *model,
-      &db, o->injections, o->seed);
+  const serve::CampaignSpec& spec = o->spec;
+  serve::Caches caches(stderr_progress("campaigns"));
+  const auto r = serve::run_cnn_spec(spec, caches, nullptr);
   std::printf("== %s under %s: %zu injections\n",
-              lenet ? "LeNet" : "YoloLite",
-              std::string(cnn_fault_model_name(*model)).c_str(),
+              spec.net == "lenet" ? "LeNet" : "YoloLite",
+              std::string(nn::cnn_fault_model_name(
+                              *vocab::parse_cnn_model(spec.model)))
+                  .c_str(),
               r.injections);
   std::printf("PVF (SDC)  %.3f\ncritical   %.3f (%zu of %zu SDCs change "
               "the decision)\nmasked %zu / DUE %zu\n",
@@ -645,83 +582,39 @@ int cmd_cnn(int argc, char** argv) {
 
 int cmd_report(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto op = serve::parse_opcode(argv[2]);
-  if (!op)
-    return usage_error(std::string("unknown instruction '") + argv[2] + "'");
   // Optional positional module; "all" (the default) bombards all six.
-  std::string module_arg = "all";
-  int first = 3;
-  if (argc > 3 && argv[3][0] != '-') {
-    module_arg = argv[3];
-    first = 4;
-  }
-  std::optional<rtl::Module> module;
-  if (module_arg != "all") {
-    const auto m = serve::parse_module(module_arg);
-    if (!m)
-      return usage_error("unknown module '" + module_arg +
-                         "' (expected fp32|int|sfu|sfuctl|sched|pipe|all)");
-    module = *m;
-  }
-  const auto o = Options::parse(argc, argv, first);
+  const bool has_module = argc > 3 && argv[3][0] != '-';
+  const bool all = !has_module || std::string(argv[3]) == "all";
+  auto o = Options::parse(argc, argv, has_module ? 4 : 3);
   if (!o) return 2;
-  if (o->fault_models.size() != 1)
-    return usage_error("gpufi report expects a single --fault-model");
+  serve::CampaignSpec& spec = o->spec;
+  spec.kind = serve::CampaignKind::Rtl;
+  spec.op = argv[2];
+  if (!all) spec.module = argv[3];
+  if (!check_campaign(spec)) return 2;
   install_trace_sink(*o);
 
   std::string payload;
   if (o->socket_set) {
     // Served path: one module per request (the spec carries exactly one);
     // the daemon always answers with the JSON rendering.
-    if (!module)
+    if (all)
       return usage_error(
           "a served report needs a single module, not 'all' (run one "
           "request per module, or drop --socket for the offline path)");
-    serve::CampaignSpec spec;
-    spec.kind = serve::CampaignKind::Rtl;
-    spec.op = argv[2];
-    spec.module = module_arg;
-    spec.range = o->range;
-    spec.fault_model = o->fault_model;
-    spec.fault_duration = o->fault_duration;
-    spec.burst_period = o->burst_period;
-    spec.faults = o->faults;
-    spec.seed = o->seed;
-    spec.jobs = o->jobs == 0 ? 1 : o->jobs;  // served default: one core
-    spec.accel = o->accel;
-    spec.priority = o->priority;
-    spec.deadline_ms = o->deadline_ms;
-    spec.progress_interval = o->progress_interval;
-    if (const auto err = serve::validate_spec(spec)) return usage_error(*err);
+    if (spec.jobs == 0) spec.jobs = 1;  // served default: one core
     std::string error;
-    const auto r = serve::query_report(
-        o->socket, spec,
-        [](const exec::Progress& p) {
-          std::fprintf(stderr, "\r  %zu/%zu trials (%.1f/s, ETA %.0fs)   ",
-                       p.done, p.total, p.per_second, p.eta_seconds);
-          if (p.done == p.total) std::fputc('\n', stderr);
-          std::fflush(stderr);
-        },
-        &error);
+    const auto r = serve::query_report(o->socket, spec,
+                                       stderr_progress("trials"), &error);
     if (!r) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
     payload = *r;
   } else {
-    core::ReportConfig rc;
-    rc.op = *op;
-    rc.module = module;
-    rc.range = *serve::parse_range(o->range);
-    rc.n_faults = o->faults;
-    rc.seed = o->seed;
-    rc.jobs = o->jobs;
-    rc.acceleration = o->acceleration();
-    rc.fault_model = o->fault_models[0];
-    rc.fault_duration = o->fault_duration;
-    rc.burst_period = o->burst_period;
-    rc.progress = stderr_progress("injections");
-    rc.progress_interval = o->progress_interval;
+    auto rc = serve::report_config_for_spec(
+        spec, stderr_progress("injections"), nullptr);
+    if (all) rc.module.reset();
     const attr::Report report = core::run_report(rc);
     payload = o->json ? attr::render_json(report) : attr::render_text(report);
   }
@@ -750,9 +643,9 @@ int cmd_serve(int argc, char** argv) {
   install_trace_sink(*o);
   serve::ServerConfig cfg;
   cfg.socket_path = o->socket;
-  cfg.workers = o->workers;
+  if (o->workers) cfg.workers = *o->workers;
   cfg.queue_capacity = o->queue;
-  cfg.default_deadline_ms = o->deadline_ms;
+  cfg.default_deadline_ms = o->spec.deadline_ms;
   cfg.quiet = false;
   cfg.fabric_listen = o->fabric;
   serve::Server server(cfg);
@@ -799,67 +692,19 @@ int cmd_worker(int argc, char** argv) {
 
 int cmd_submit(int argc, char** argv) {
   if (argc < 3) return usage();
-  const std::string kind = argv[2];
-  serve::CampaignSpec spec;
-  int first = 0;
-  if (kind == "rtl") {
-    if (argc < 5) return usage();
-    spec.kind = serve::CampaignKind::Rtl;
-    spec.op = argv[3];
-    spec.module = argv[4];
-    first = 5;
-  } else if (kind == "tmxm") {
-    if (argc < 4) return usage();
-    spec.kind = serve::CampaignKind::Tmxm;
-    spec.module = argv[3];
-    first = 4;
-  } else if (kind == "sw") {
-    if (argc < 5) return usage();
-    spec.kind = serve::CampaignKind::Sw;
-    spec.app = argv[3];
-    spec.model = argv[4];
-    first = 5;
-  } else if (kind == "cnn") {
-    if (argc < 5) return usage();
-    spec.kind = serve::CampaignKind::Cnn;
-    spec.net = argv[3];
-    spec.model = argv[4];
-    first = 5;
-  } else {
-    return usage_error("unknown campaign kind '" + kind + "'");
-  }
-  const auto o = Options::parse(argc, argv, first);
+  const auto kind = serve::parse_campaign_kind(argv[2]);
+  if (!kind)
+    return usage_error(std::string("unknown campaign kind '") + argv[2] + "'");
+  auto o = parse_campaign(*kind, argc, argv, 3);
   if (!o) return 2;
-  if (o->fault_models.size() != 1)
-    return usage_error("gpufi submit expects a single --fault-model");
-  spec.range = o->range;
-  spec.tile = o->tile;
-  spec.fault_model = o->fault_model;
-  spec.fault_duration = o->fault_duration;
-  spec.burst_period = o->burst_period;
-  spec.faults = o->faults;
-  spec.injections = o->injections;
-  spec.seed = o->seed;
-  spec.jobs = o->jobs == 0 ? 1 : o->jobs;  // served default: one core each
-  spec.accel = o->accel;
-  spec.db_path = o->db_path;
-  spec.models_dir = o->models_dir;
-  spec.priority = o->priority;
-  spec.deadline_ms = o->deadline_ms;
-  spec.progress_interval = o->progress_interval;
-  spec.plan = o->plan;
+  serve::CampaignSpec& spec = o->spec;
+  if (spec.jobs == 0) spec.jobs = 1;  // served default: one core each
   // --workers on submit is the fabric fan-out width (0 = in-process); the
   // daemon-side executor pool keeps its own `serve --workers` knob.
-  spec.workers = o->workers_set ? o->workers : 0;
-  if (const auto err = serve::validate_spec(spec)) return usage_error(*err);
+  spec.workers = o->workers.value_or(0);
 
-  const auto outcome = serve::submit_campaign(
-      o->socket, spec, [](const exec::Progress& p) {
-        std::fprintf(stderr, "\r  %zu/%zu trials (%.1f/s, ETA %.0fs)   ",
-                     p.done, p.total, p.per_second, p.eta_seconds);
-        if (p.done == p.total) std::fputc('\n', stderr);
-        std::fflush(stderr);
-      });
+  const auto outcome =
+      serve::submit_campaign(o->socket, spec, stderr_progress("trials"));
   if (!outcome.ok) {
     std::fprintf(stderr, "error: %s\n", outcome.error.c_str());
     return 1;

@@ -22,6 +22,23 @@ void set_recv_timeout(int fd, std::uint64_t ms) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
+/// Decodes every shard's partial and merges them IN SHARD-INDEX (== chunk-
+/// index) ORDER — the distributed image of run_trials' epilogue.
+template <class Result, class Decode>
+Result merge_partials(const std::vector<std::optional<std::string>>& partials,
+                      Decode decode) {
+  Result merged;
+  for (std::size_t i = 0; i < partials.size(); ++i) {
+    std::string err;
+    const auto part = decode(*partials[i], &err);
+    if (!part)
+      throw std::runtime_error("corrupt shard " + std::to_string(i) +
+                               " partial: " + err);
+    merged.merge(*part);
+  }
+  return merged;
+}
+
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig cfg) : cfg_(std::move(cfg)) {}
@@ -428,13 +445,11 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
   // sequential — the Wilson planner sizes each round from the last — and
   // cnn campaigns use their own internal loop; both run as ONE shard whose
   // payload is the public serialization, forwarded verbatim.
-  const bool planned_sw =
-      spec.kind == serve::CampaignKind::Sw && !spec.plan.empty();
   const bool rtl_like = spec.kind == serve::CampaignKind::Rtl ||
                         spec.kind == serve::CampaignKind::Tmxm;
   const std::size_t n_trials = rtl_like ? spec.faults : spec.injections;
-  const bool single =
-      spec.kind == serve::CampaignKind::Cnn || planned_sw || n_trials == 0;
+  const bool single = spec.kind == serve::CampaignKind::Cnn ||
+                      !spec.plan.empty() || n_trials == 0;
   std::vector<exec::TrialRange> ranges;
   if (single) {
     ranges.push_back({0, n_trials});
@@ -471,6 +486,7 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
     job->n_shards = ranges.size();
     job->partials.resize(ranges.size());
     job->shard_done.assign(ranges.size(), 0);
+    job->final_payload = single;
     job->total_trials = single ? 0 : n_trials;
     job->progress = progress;
     job->started = std::chrono::steady_clock::now();
@@ -515,41 +531,16 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
 }
 
 std::string Coordinator::merge_job(JobState& job) {
-  const bool planned_sw =
-      job.spec.kind == serve::CampaignKind::Sw && !job.spec.plan.empty();
-  const bool rtl_like = job.spec.kind == serve::CampaignKind::Rtl ||
-                        job.spec.kind == serve::CampaignKind::Tmxm;
-  // Single-shard jobs (cnn, planned sw, empty campaigns) already carry the
-  // public payload; forward it verbatim.
-  if (job.spec.kind == serve::CampaignKind::Cnn || planned_sw ||
-      (rtl_like ? job.spec.faults : job.spec.injections) == 0)
-    return *job.partials[0];
-
-  // The distributed image of run_trials' epilogue: decode every shard's
-  // lossless partial and merge IN SHARD-INDEX (== chunk-index) ORDER, then
-  // apply the same public serialization the offline path applies.
-  if (rtl_like) {
-    rtlfi::CampaignResult merged;
-    for (std::size_t i = 0; i < job.n_shards; ++i) {
-      std::string err;
-      const auto part = decode_rtl_partial(*job.partials[i], &err);
-      if (!part)
-        throw std::runtime_error("corrupt shard " + std::to_string(i) +
-                                 " partial: " + err);
-      merged.merge(*part);
-    }
-    return serve::serialize_campaign_result(job.spec, merged);
-  }
-  swfi::Result merged;
-  for (std::size_t i = 0; i < job.n_shards; ++i) {
-    std::string err;
-    const auto part = decode_sw_partial(*job.partials[i], &err);
-    if (!part)
-      throw std::runtime_error("corrupt shard " + std::to_string(i) +
-                               " partial: " + err);
-    merged.merge(*part);
-  }
-  return serve::serialize_sw_result(merged);
+  // Single-shard jobs already carry the public payload; forward it verbatim.
+  if (job.final_payload) return *job.partials[0];
+  // Otherwise apply the same public serialization the offline path applies
+  // to the exact in-memory result the shards reassemble.
+  if (job.spec.kind == serve::CampaignKind::Sw)
+    return serve::serialize_sw_result(
+        merge_partials<swfi::Result>(job.partials, decode_sw_partial));
+  return serve::serialize_campaign_result(
+      job.spec, merge_partials<rtlfi::CampaignResult>(job.partials,
+                                                      decode_rtl_partial));
 }
 
 }  // namespace gpufi::fabric

@@ -3,6 +3,7 @@
 #include <bit>
 #include <charconv>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace gpufi::fabric {
@@ -73,6 +74,14 @@ struct Cursor {
     return parse_u64(take_kv(key));
   }
 
+  /// A 32-bit field; a wider wire value is an error, never a truncation.
+  std::uint32_t take_u32(std::string_view key) {
+    const std::uint64_t v = take_u64(key);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+      fail("value out of range for key '" + std::string(key) + "'");
+    return static_cast<std::uint32_t>(v);
+  }
+
   std::uint64_t parse_u64(std::string_view s) {
     if (!ok) return 0;
     std::uint64_t v = 0;
@@ -100,13 +109,24 @@ struct Fields {
     return c->parse_u64(tok);
   }
 
-  std::int64_t next_i64() {
+  std::uint32_t next_u32() {
+    const std::uint64_t v = next();
+    if (v > std::numeric_limits<std::uint32_t>::max())
+      c->fail("record field out of range");
+    return static_cast<std::uint32_t>(v);
+  }
+
+  std::int32_t next_i32() {
     if (!c->ok) return 0;
     while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
     const bool neg = !rest.empty() && rest.front() == '-';
     if (neg) rest.remove_prefix(1);
-    const auto v = static_cast<std::int64_t>(next());
-    return neg ? -v : v;
+    const std::int64_t v = static_cast<std::int64_t>(next_u32());
+    const std::int64_t signed_v = neg ? -v : v;
+    if (signed_v < std::numeric_limits<std::int32_t>::min() ||
+        signed_v > std::numeric_limits<std::int32_t>::max())
+      c->fail("record field out of range");
+    return static_cast<std::int32_t>(signed_v);
   }
 
   void done() {
@@ -163,7 +183,7 @@ std::string encode_hello(const Hello& h) {
 std::optional<Hello> decode_hello(std::string_view payload) {
   Cursor c{payload};
   Hello h;
-  h.version = static_cast<std::uint32_t>(c.take_u64("version"));
+  h.version = c.take_u32("version");
   h.name = std::string(c.take_kv("name"));
   h.pid = c.take_u64("pid");
   if (!c.ok || !c.rest.empty()) return std::nullopt;
@@ -190,8 +210,8 @@ std::optional<ShardRequest> decode_shard_request(std::string_view payload,
   const auto spec_bytes = split_tail(payload, kSpecMarker, c);
   ShardRequest r;
   r.job = c.take_u64("job");
-  r.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
-  r.n_shards = static_cast<std::uint32_t>(c.take_u64("n_shards"));
+  r.shard_index = c.take_u32("shard");
+  r.n_shards = c.take_u32("n_shards");
   r.trial_offset = c.take_u64("offset");
   r.trial_count = c.take_u64("count");
   r.final_payload = c.take_u64("final") != 0;
@@ -225,7 +245,7 @@ std::optional<ShardResultMsg> decode_shard_result(std::string_view payload) {
   const auto tail = split_tail(payload, kPayloadMarker, c);
   ShardResultMsg m;
   m.job = c.take_u64("job");
-  m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
+  m.shard_index = c.take_u32("shard");
   if (!c.ok || !c.rest.empty()) return std::nullopt;
   m.payload = std::string(tail);
   return m;
@@ -246,7 +266,7 @@ std::optional<ShardErrorMsg> decode_shard_error(std::string_view payload) {
   const auto tail = split_tail(payload, kErrorMarker, c);
   ShardErrorMsg m;
   m.job = c.take_u64("job");
-  m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
+  m.shard_index = c.take_u32("shard");
   if (!c.ok || !c.rest.empty()) return std::nullopt;
   m.error = std::string(tail);
   return m;
@@ -266,7 +286,7 @@ std::optional<ShardProgressMsg> decode_shard_progress(
   Cursor c{payload};
   ShardProgressMsg m;
   m.job = c.take_u64("job");
-  m.shard_index = static_cast<std::uint32_t>(c.take_u64("shard"));
+  m.shard_index = c.take_u32("shard");
   m.done = c.take_u64("done");
   m.total = c.take_u64("total");
   if (!c.ok || !c.rest.empty()) return std::nullopt;
@@ -391,7 +411,7 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     Fields f{c.take_kv("r"), &c};
     rec.fault.module = take_enum<rtl::Module>(c, f.next(), rtl::kNumModules,
                                               "module");
-    rec.fault.bit = static_cast<std::uint32_t>(f.next());
+    rec.fault.bit = f.next_u32();
     rec.fault.cycle = f.next();
     rec.fault.model = take_enum<rtl::FaultModel>(c, f.next(),
                                                  rtl::kNumFaultModels,
@@ -403,13 +423,13 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
                                             "outcome");
     rec.due_reason_code = take_enum<vocab::DueReason>(
         c, f.next(), vocab::kNumDueReasons, "due reason");
-    rec.corrupted_elements = static_cast<unsigned>(f.next());
-    rec.corrupted_threads = static_cast<unsigned>(f.next());
+    rec.corrupted_elements = f.next_u32();
+    rec.corrupted_threads = f.next_u32();
     rec.site.live = f.next() != 0;
     rec.site.dyn_index = f.next();
     rec.site.pc = f.next();
-    rec.site.cta = static_cast<std::uint32_t>(f.next());
-    rec.site.warp = static_cast<std::uint32_t>(f.next());
+    rec.site.cta = f.next_u32();
+    rec.site.warp = f.next_u32();
     rec.site.op = take_enum<isa::Opcode>(c, f.next(), kNumOpcodes, "opcode");
     rec.site.stage = take_enum<rtl::PipeStage>(c, f.next(), kNumStages,
                                                "stage");
@@ -421,11 +441,11 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     for (std::uint64_t j = 0; c.ok && j < n_diffs; ++j) {
       rtlfi::ElementDiff d;
       Fields df{c.take_kv("d"), &c};
-      d.index = static_cast<std::uint32_t>(df.next());
-      d.golden = static_cast<std::uint32_t>(df.next());
-      d.faulty = static_cast<std::uint32_t>(df.next());
+      d.index = df.next_u32();
+      d.golden = df.next_u32();
+      d.faulty = df.next_u32();
       d.rel_error = bits_double(df.next());
-      d.bits_flipped = static_cast<unsigned>(df.next());
+      d.bits_flipped = df.next_u32();
       df.done();
       rec.diffs.push_back(d);
     }
@@ -507,8 +527,9 @@ std::optional<swfi::Result> decode_sw_partial(std::string_view payload,
   r.candidate_instructions = c.take_u64("candidates");
   {
     Fields f{c.take_kv("pc_counts"), &c};
+    // No reserve(): the count is untrusted wire data, not a size to
+    // allocate; a short list fails on its first missing field.
     const auto n = f.next();
-    r.pc_exec_counts.reserve(n);
     for (std::uint64_t i = 0; c.ok && i < n; ++i)
       r.pc_exec_counts.push_back(f.next());
     f.done();
@@ -516,7 +537,7 @@ std::optional<swfi::Result> decode_sw_partial(std::string_view payload,
   const auto n_sites = c.take_u64("sites");
   for (std::uint64_t i = 0; c.ok && i < n_sites; ++i) {
     Fields f{c.take_kv("s"), &c};
-    const auto pc = static_cast<std::int32_t>(f.next_i64());
+    const auto pc = f.next_i32();
     const auto op = take_enum<isa::Opcode>(c, f.next(), kNumOpcodes, "opcode");
     swfi::SwSiteCounts counts;
     counts.hits = f.next();

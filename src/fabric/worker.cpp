@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
-#include "vocab/vocab.hpp"
 
 namespace gpufi::fabric {
 
@@ -130,57 +129,14 @@ std::string Worker::execute(const ShardRequest& req) {
   // in-daemon run by construction.
   if (req.final_payload)
     return serve::run_spec(spec, caches_, progress, nullptr);
-
-  if (const auto err = serve::validate_spec(spec))
-    throw std::invalid_argument(*err);
-  switch (spec.kind) {
-    case serve::CampaignKind::Rtl:
-    case serve::CampaignKind::Tmxm: {
-      const auto w =
-          spec.kind == serve::CampaignKind::Rtl
-              ? rtlfi::make_microbenchmark(*serve::parse_opcode(spec.op),
-                                           *serve::parse_range(spec.range),
-                                           spec.seed)
-              : rtlfi::make_tmxm(*serve::parse_tile(spec.tile), spec.seed);
-      auto cc = serve::campaign_config_for_spec(
-          spec, *serve::parse_module(spec.module), progress, nullptr);
-      cc.shard_offset = req.trial_offset;
-      cc.shard_count = req.trial_count;
-      // Per-worker golden tier: the same key the daemon's cache uses, so a
-      // worker prepares one golden context per workload × geometry and
-      // every shard (of this and later campaigns) reuses it.
-      const auto golden =
-          caches_.golden(serve::golden_cache_key(spec, cc, w),
-                         [&] { return rtlfi::prepare_golden(w, cc); });
-      return encode_rtl_partial(rtlfi::run_campaign(w, cc, *golden));
-    }
-    case serve::CampaignKind::Sw: {
-      const auto app = vocab::make_app(spec.app);
-      swfi::Config cfg;
-      cfg.model = *serve::parse_sw_model(spec.model);
-      cfg.n_injections = spec.injections;
-      cfg.seed = spec.seed;
-      cfg.jobs = spec.jobs;
-      cfg.progress = progress;
-      cfg.progress_interval = spec.progress_interval;
-      cfg.shard_offset = req.trial_offset;
-      cfg.shard_count = req.trial_count;
-      std::shared_ptr<const syndrome::Database> db;
-      if (cfg.model == swfi::FaultModel::RelativeError ||
-          cfg.model == swfi::FaultModel::WarpRelativeError ||
-          cfg.model == swfi::FaultModel::StickyRelativeError) {
-        db = caches_.syndrome_db(spec.db_path, spec.jobs);
-        cfg.db = db.get();
-        if (cfg.model == swfi::FaultModel::StickyRelativeError)
-          cfg.syndrome_model = rtl::FaultModel::StuckAt1;
-      }
-      return encode_sw_partial(swfi::run_sw_campaign(app.app, cfg));
-    }
-    case serve::CampaignKind::Cnn:
-      // The coordinator plans cnn campaigns as one final_payload shard.
-      throw std::logic_error("cnn campaigns are single-shard");
-  }
-  throw std::logic_error("unreachable campaign kind");
+  // Any other shard runs its trial range and ships the lossless partial the
+  // coordinator merges; caches_ is the per-worker golden and DB tier.
+  const exec::TrialRange shard{req.trial_offset, req.trial_count};
+  if (spec.kind == serve::CampaignKind::Sw)
+    return encode_sw_partial(
+        serve::run_sw_spec(spec, caches_, progress, nullptr, shard));
+  return encode_rtl_partial(
+      serve::run_rtl_spec(spec, caches_, progress, nullptr, shard));
 }
 
 void Worker::run_loop() {

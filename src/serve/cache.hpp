@@ -12,7 +12,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
+#include "exec/engine.hpp"
 #include "obs/metrics.hpp"
 #include "rtlfi/campaign.hpp"
 #include "syndrome/syndrome.hpp"
@@ -102,7 +104,12 @@ class SharedCache {
 /// The two caches a gpufi-serve process shares across requests.
 class Caches {
  public:
-  Caches() : dbs_("db"), goldens_("golden") {}
+  /// `db_build_progress` reports a cold syndrome-DB build (campaigns done);
+  /// the CLI prints it, the daemon and fabric workers build silently.
+  explicit Caches(exec::ProgressFn db_build_progress = {})
+      : db_build_progress_(std::move(db_build_progress)),
+        dbs_("db"),
+        goldens_("golden") {}
 
   /// Syndrome database by file path: loads (or builds and saves) once via
   /// core::ensure_syndrome_database, then serves the parsed object to every
@@ -120,6 +127,7 @@ class Caches {
   CacheStats golden_stats() const { return goldens_.stats(); }
 
  private:
+  exec::ProgressFn db_build_progress_;
   SharedCache<syndrome::Database> dbs_;
   SharedCache<rtlfi::GoldenContext> goldens_;
 };

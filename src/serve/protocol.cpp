@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "syndrome/syndrome.hpp"
 
@@ -255,12 +256,15 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
           if (err) *err = msg;
           return false;
         };
-        const auto number = [&](std::uint64_t& dst) {
+        // Any unsigned field; a value the field cannot hold is an error,
+        // never a truncation.
+        const auto number = [&](auto& dst) {
+          using Field = std::remove_reference_t<decltype(dst)>;
           std::uint64_t v = 0;
-          if (!parse_u64(value, v))
+          if (!parse_u64(value, v) || v > std::numeric_limits<Field>::max())
             return fail("bad number for '" + std::string(key) +
                         "': " + std::string(value));
-          dst = v;
+          dst = static_cast<Field>(v);
           return true;
         };
         if (key == "kind") {
@@ -282,45 +286,21 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
         if (key == "accel") { spec.accel = value; return true; }
         if (key == "db") { spec.db_path = value; return true; }
         if (key == "models") { spec.models_dir = value; return true; }
-        if (key == "faults") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.faults = v;
-          return true;
-        }
-        if (key == "injections") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.injections = v;
-          return true;
-        }
+        if (key == "faults") return number(spec.faults);
+        if (key == "injections") return number(spec.injections);
         if (key == "seed") return number(spec.seed);
-        if (key == "jobs") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.jobs = static_cast<unsigned>(v);
-          return true;
-        }
-        if (key == "workers") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.workers = static_cast<unsigned>(v);
-          return true;
-        }
+        if (key == "jobs") return number(spec.jobs);
+        if (key == "workers") return number(spec.workers);
         if (key == "priority") {
           std::int64_t v;
-          if (!parse_i64(value, v))
+          if (!parse_i64(value, v) || v < std::numeric_limits<int>::min() ||
+              v > std::numeric_limits<int>::max())
             return fail("bad number for 'priority': " + std::string(value));
           spec.priority = static_cast<int>(v);
           return true;
         }
         if (key == "deadline_ms") return number(spec.deadline_ms);
-        if (key == "progress_interval") {
-          std::uint64_t v;
-          if (!number(v)) return false;
-          spec.progress_interval = v;
-          return true;
-        }
+        if (key == "progress_interval") return number(spec.progress_interval);
         if (key == "plan") { spec.plan = value; return true; }
         return fail("unknown spec key: " + std::string(key));
       });
@@ -333,9 +313,9 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
 }
 
 std::optional<std::string> validate_spec(const CampaignSpec& spec) {
-  if (!parse_acceleration(spec.accel))
+  if (!vocab::parse_acceleration(spec.accel))
     return "unknown accel level: " + spec.accel;
-  if (!parse_fault_model(spec.fault_model))
+  if (!vocab::parse_fault_model(spec.fault_model))
     return "unknown fault model: " + spec.fault_model;
   if (!spec.plan.empty()) {
     if (spec.kind != CampaignKind::Sw)
@@ -345,24 +325,26 @@ std::optional<std::string> validate_spec(const CampaignSpec& spec) {
   }
   switch (spec.kind) {
     case CampaignKind::Rtl:
-      if (!parse_opcode(spec.op)) return "unknown opcode: " + spec.op;
-      if (!parse_module(spec.module))
+      if (!vocab::parse_opcode(spec.op)) return "unknown opcode: " + spec.op;
+      if (!vocab::parse_module(spec.module))
         return "unknown module: " + spec.module;
-      if (!parse_range(spec.range)) return "unknown range: " + spec.range;
+      if (!vocab::parse_range(spec.range))
+        return "unknown range: " + spec.range;
       break;
     case CampaignKind::Tmxm:
-      if (!parse_module(spec.module)) return "unknown site: " + spec.module;
-      if (!parse_tile(spec.tile)) return "unknown tile: " + spec.tile;
+      if (!vocab::parse_module(spec.module))
+        return "unknown site: " + spec.module;
+      if (!vocab::parse_tile(spec.tile)) return "unknown tile: " + spec.tile;
       break;
     case CampaignKind::Sw:
-      if (!is_known_app(spec.app)) return "unknown app: " + spec.app;
-      if (!parse_sw_model(spec.model))
+      if (!vocab::is_known_app(spec.app)) return "unknown app: " + spec.app;
+      if (!vocab::parse_sw_model(spec.model))
         return "unknown sw fault model: " + spec.model;
       break;
     case CampaignKind::Cnn:
       if (spec.net != "lenet" && spec.net != "yolo")
         return "unknown net: " + spec.net;
-      if (!parse_cnn_model(spec.model))
+      if (!vocab::parse_cnn_model(spec.model))
         return "unknown cnn fault model: " + spec.model;
       break;
   }
@@ -525,14 +507,14 @@ std::string serialize_campaign_result(const CampaignSpec& spec,
   // contract.
   syndrome::Database db;
   if (spec.kind == CampaignKind::Tmxm) {
-    const auto site = parse_module(spec.module);
+    const auto site = vocab::parse_module(spec.module);
     if (!site) throw std::invalid_argument("bad tmxm site: " + spec.module);
     db.add_tmxm_campaign(*site, 8, 8, r);
   } else {
-    const auto module = parse_module(spec.module);
-    const auto op = parse_opcode(spec.op);
-    const auto range = parse_range(spec.range);
-    const auto model = parse_fault_model(spec.fault_model);
+    const auto module = vocab::parse_module(spec.module);
+    const auto op = vocab::parse_opcode(spec.op);
+    const auto range = vocab::parse_range(spec.range);
+    const auto model = vocab::parse_fault_model(spec.fault_model);
     if (!module || !op || !range || !model)
       throw std::invalid_argument("bad rtl spec for serialization");
     db.add_campaign(syndrome::Key{*module, *op, *range, *model}, r);

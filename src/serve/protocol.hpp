@@ -158,8 +158,9 @@ struct CampaignSpec {
   std::string app = "mxm";        ///< sw: application name
   std::string model = "bitflip";  ///< sw: fault model / cnn: fault model
   std::string net = "lenet";      ///< cnn: lenet|yolo
-  /// rtl/tmxm: RTL fault model (transient|stuck0|stuck1|burst); also the
-  /// syndrome class the sw `sticky` model replays.
+  /// rtl/tmxm: RTL fault model (transient|stuck0|stuck1|burst). Validated
+  /// for every kind but unused by sw and cnn: the sw `sticky` model always
+  /// samples the stuck-at-1 syndrome class.
   std::string fault_model = "transient";
   std::uint64_t fault_duration = 0;  ///< rtl: window cycles; 0 = permanent
   std::uint64_t burst_period = 8;    ///< rtl: burst re-flip period
@@ -201,19 +202,6 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
 /// (opcode, module, range, tile, accel, app, model, net — whichever the
 /// kind uses). Returns an error message, or nullopt when the spec is sound.
 std::optional<std::string> validate_spec(const CampaignSpec& spec);
-
-// Vocabulary parsers shared by the CLI and the server dispatch — one
-// definition in vocab/, aliased here so existing call sites keep reading
-// serve::parse_*.
-using vocab::is_known_app;
-using vocab::parse_acceleration;
-using vocab::parse_cnn_model;
-using vocab::parse_fault_model;
-using vocab::parse_module;
-using vocab::parse_opcode;
-using vocab::parse_range;
-using vocab::parse_sw_model;
-using vocab::parse_tile;
 
 // ---------------------------------------------------------------------------
 // Progress payload.

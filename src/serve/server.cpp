@@ -37,14 +37,22 @@ void throw_if_stopped(const exec::CancelToken* cancel) {
   if (cancel && cancel->stopped()) throw CancelledError("campaign cancelled");
 }
 
-}  // namespace
+/// Throws std::invalid_argument with `kind_error` unless `kind_ok`, and
+/// with validate_spec's message unless the spec is sound.
+void require_spec(const CampaignSpec& spec, bool kind_ok,
+                  const char* kind_error) {
+  if (!kind_ok) throw std::invalid_argument(kind_error);
+  if (const auto err = validate_spec(spec)) throw std::invalid_argument(*err);
+}
 
-std::string golden_cache_key(const CampaignSpec& spec,
-                             const rtlfi::CampaignConfig& cc,
-                             const rtlfi::Workload& w) {
+/// Cache key of the shareable golden half of an RTL/t-MxM campaign: the
+/// workload identity (name encodes op/range or tile kind) and value seed,
+/// plus the trace geometry rtlfi::prepare_golden depends on.
+std::string golden_cache_key(const rtlfi::Workload& w,
+                             const rtlfi::CampaignConfig& cc) {
   std::string key = w.name;
   key += "/vseed=";
-  key += std::to_string(spec.seed);
+  key += std::to_string(cc.seed);
   if (cc.acceleration == rtlfi::Acceleration::None)
     key += "/untraced";
   else
@@ -52,102 +60,163 @@ std::string golden_cache_key(const CampaignSpec& spec,
   return key;
 }
 
-rtlfi::CampaignConfig campaign_config_for_spec(
-    const CampaignSpec& spec, rtl::Module module,
-    const exec::ProgressFn& progress, const exec::CancelToken* cancel) {
+/// The sw engine config of a validated sw spec, syndrome-DB policy
+/// included. `db` keeps the replayed database alive for cfg.db.
+swfi::Config sw_config_for_spec(const CampaignSpec& spec, Caches& caches,
+                                const exec::ProgressFn& progress,
+                                const exec::CancelToken* cancel,
+                                std::shared_ptr<const syndrome::Database>& db) {
+  swfi::Config cfg;
+  cfg.model = *vocab::parse_sw_model(spec.model);
+  cfg.n_injections = spec.injections;
+  cfg.seed = spec.seed;
+  cfg.jobs = spec.jobs;
+  cfg.progress = progress;
+  cfg.progress_interval = spec.progress_interval;
+  cfg.cancel = cancel;
+  db = syndrome_db_for_spec(spec, caches);
+  throw_if_stopped(cancel);  // the shared build may outlive a deadline
+  cfg.db = db.get();
+  // Sticky replay images a permanently stuck datapath FF: sample the
+  // stuck-at-1 syndrome class (transient fallback inside the database).
+  if (cfg.model == swfi::FaultModel::StickyRelativeError)
+    cfg.syndrome_model = rtl::FaultModel::StuckAt1;
+  return cfg;
+}
+
+}  // namespace
+
+rtlfi::CampaignResult run_rtl_spec(const CampaignSpec& spec, Caches& caches,
+                                   const exec::ProgressFn& progress,
+                                   const exec::CancelToken* cancel,
+                                   exec::TrialRange shard) {
+  require_spec(spec,
+               spec.kind == CampaignKind::Rtl ||
+                   spec.kind == CampaignKind::Tmxm,
+               "expected an rtl or tmxm campaign spec");
+  const auto w =
+      spec.kind == CampaignKind::Rtl
+          ? rtlfi::make_microbenchmark(*vocab::parse_opcode(spec.op),
+                                       *vocab::parse_range(spec.range),
+                                       spec.seed)
+          : rtlfi::make_tmxm(*vocab::parse_tile(spec.tile), spec.seed);
   rtlfi::CampaignConfig cc;
-  cc.module = module;
+  cc.module = *vocab::parse_module(spec.module);
   cc.n_faults = spec.faults;
   cc.seed = spec.seed;
   cc.jobs = spec.jobs;
-  cc.acceleration = *parse_acceleration(spec.accel);
-  cc.fault_model = *parse_fault_model(spec.fault_model);
+  cc.acceleration = *vocab::parse_acceleration(spec.accel);
+  cc.fault_model = *vocab::parse_fault_model(spec.fault_model);
   cc.fault_duration = spec.fault_duration;
   cc.burst_period = spec.burst_period;
   cc.progress = progress;
   cc.progress_interval = spec.progress_interval;
   cc.cancel = cancel;
-  return cc;
+  cc.shard_offset = shard.offset;
+  cc.shard_count = shard.count;
+  const auto golden = caches.golden(
+      golden_cache_key(w, cc), [&] { return rtlfi::prepare_golden(w, cc); });
+  auto r = rtlfi::run_campaign(w, cc, *golden);
+  throw_if_stopped(cancel);
+  return r;
+}
+
+swfi::Result run_sw_spec(const CampaignSpec& spec, Caches& caches,
+                         const exec::ProgressFn& progress,
+                         const exec::CancelToken* cancel,
+                         exec::TrialRange shard) {
+  require_spec(spec, spec.kind == CampaignKind::Sw && spec.plan.empty(),
+               "expected a sw campaign spec without a plan");
+  std::shared_ptr<const syndrome::Database> db;
+  auto cfg = sw_config_for_spec(spec, caches, progress, cancel, db);
+  cfg.shard_offset = shard.offset;
+  cfg.shard_count = shard.count;
+  auto r = swfi::run_sw_campaign(vocab::make_app(spec.app).app, cfg);
+  throw_if_stopped(cancel);
+  return r;
+}
+
+swfi::PlanResult run_planned_sw_spec(const CampaignSpec& spec, Caches& caches,
+                                     const exec::ProgressFn& progress,
+                                     const exec::CancelToken* cancel) {
+  require_spec(spec, spec.kind == CampaignKind::Sw && !spec.plan.empty(),
+               "expected a sw campaign spec with a plan");
+  std::shared_ptr<const syndrome::Database> db;
+  const auto cfg = sw_config_for_spec(spec, caches, progress, cancel, db);
+  auto r = swfi::run_planned_campaign(vocab::make_app(spec.app).app, cfg,
+                                      *vocab::parse_plan(spec.plan));
+  throw_if_stopped(cancel);
+  return r;
+}
+
+nn::CnnCampaignResult run_cnn_spec(const CampaignSpec& spec, Caches& caches,
+                                   const exec::CancelToken* cancel) {
+  require_spec(spec, spec.kind == CampaignKind::Cnn,
+               "expected a cnn campaign spec");
+  const auto db = syndrome_db_for_spec(spec, caches);
+  const auto models = core::ensure_models(spec.models_dir);
+  throw_if_stopped(cancel);
+  const bool lenet = spec.net == "lenet";
+  auto r = nn::run_cnn_campaign(
+      lenet ? models.lenet : models.yololite,
+      lenet ? nn::CnnTask::Classification : nn::CnnTask::Detection,
+      *vocab::parse_cnn_model(spec.model), db.get(), spec.injections,
+      spec.seed);
+  throw_if_stopped(cancel);
+  return r;
+}
+
+std::shared_ptr<const syndrome::Database> syndrome_db_for_spec(
+    const CampaignSpec& spec, Caches& caches) {
+  bool replays = spec.kind == CampaignKind::Cnn;
+  if (spec.kind == CampaignKind::Sw) {
+    const auto model = vocab::parse_sw_model(spec.model);
+    replays = model == swfi::FaultModel::RelativeError ||
+              model == swfi::FaultModel::WarpRelativeError ||
+              model == swfi::FaultModel::StickyRelativeError;
+  }
+  return replays ? caches.syndrome_db(spec.db_path, spec.jobs) : nullptr;
+}
+
+core::ReportConfig report_config_for_spec(const CampaignSpec& spec,
+                                          const exec::ProgressFn& progress,
+                                          const exec::CancelToken* cancel) {
+  require_spec(spec, spec.kind == CampaignKind::Rtl,
+               "attribution reports require an rtl campaign spec");
+  core::ReportConfig rc;
+  rc.op = *vocab::parse_opcode(spec.op);
+  rc.module = *vocab::parse_module(spec.module);
+  rc.range = *vocab::parse_range(spec.range);
+  rc.n_faults = spec.faults;
+  rc.seed = spec.seed;
+  rc.jobs = spec.jobs;
+  rc.acceleration = *vocab::parse_acceleration(spec.accel);
+  rc.fault_model = *vocab::parse_fault_model(spec.fault_model);
+  rc.fault_duration = spec.fault_duration;
+  rc.burst_period = spec.burst_period;
+  rc.progress = progress;
+  rc.progress_interval = spec.progress_interval;
+  rc.cancel = cancel;
+  return rc;
 }
 
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
                      const exec::CancelToken* cancel) {
-  if (const auto err = validate_spec(spec))
-    throw std::invalid_argument(*err);
   obs::Span span("serve.run_spec");
   span.set("kind", campaign_kind_name(spec.kind));
-
   switch (spec.kind) {
-    case CampaignKind::Rtl: {
-      const auto w = rtlfi::make_microbenchmark(
-          *parse_opcode(spec.op), *parse_range(spec.range), spec.seed);
-      const auto cc = campaign_config_for_spec(spec, *parse_module(spec.module),
-                                               progress, cancel);
-      const auto golden = caches.golden(
-          golden_cache_key(spec, cc, w),
-          [&] { return rtlfi::prepare_golden(w, cc); });
-      const auto r = rtlfi::run_campaign(w, cc, *golden);
-      throw_if_stopped(cancel);
-      return serialize_campaign_result(spec, r);
-    }
-    case CampaignKind::Tmxm: {
-      const auto w = rtlfi::make_tmxm(*parse_tile(spec.tile), spec.seed);
-      const auto cc = campaign_config_for_spec(spec, *parse_module(spec.module),
-                                               progress, cancel);
-      const auto golden = caches.golden(
-          golden_cache_key(spec, cc, w),
-          [&] { return rtlfi::prepare_golden(w, cc); });
-      const auto r = rtlfi::run_campaign(w, cc, *golden);
-      throw_if_stopped(cancel);
-      return serialize_campaign_result(spec, r);
-    }
-    case CampaignKind::Sw: {
-      const auto app = vocab::make_app(spec.app);
-      swfi::Config cfg;
-      cfg.model = *parse_sw_model(spec.model);
-      cfg.n_injections = spec.injections;
-      cfg.seed = spec.seed;
-      cfg.jobs = spec.jobs;
-      cfg.progress = progress;
-      cfg.progress_interval = spec.progress_interval;
-      cfg.cancel = cancel;
-      std::shared_ptr<const syndrome::Database> db;
-      if (cfg.model == swfi::FaultModel::RelativeError ||
-          cfg.model == swfi::FaultModel::WarpRelativeError ||
-          cfg.model == swfi::FaultModel::StickyRelativeError) {
-        db = caches.syndrome_db(spec.db_path, spec.jobs);
-        throw_if_stopped(cancel);  // the shared build may outlive a deadline
-        cfg.db = db.get();
-        // Sticky replay images a stuck-at fault: sample that syndrome class
-        // (falls back to transient inside the database when absent).
-        if (cfg.model == swfi::FaultModel::StickyRelativeError)
-          cfg.syndrome_model = rtl::FaultModel::StuckAt1;
-      }
-      if (!spec.plan.empty()) {
-        const auto plan = vocab::parse_plan(spec.plan);
-        if (!plan)  // validate_spec guarantees this cannot happen
-          throw std::invalid_argument("bad plan: " + spec.plan);
-        const auto pr = swfi::run_planned_campaign(app.app, cfg, *plan);
-        throw_if_stopped(cancel);
-        return serialize_planned_sw_result(pr);
-      }
-      const auto r = swfi::run_sw_campaign(app.app, cfg);
-      throw_if_stopped(cancel);
-      return serialize_sw_result(r);
-    }
-    case CampaignKind::Cnn: {
-      const auto db = caches.syndrome_db(spec.db_path, spec.jobs);
-      const auto models = core::ensure_models(spec.models_dir);
-      throw_if_stopped(cancel);
-      const bool lenet = spec.net == "lenet";
-      const auto r = nn::run_cnn_campaign(
-          lenet ? models.lenet : models.yololite,
-          lenet ? nn::CnnTask::Classification : nn::CnnTask::Detection,
-          *parse_cnn_model(spec.model), db.get(), spec.injections, spec.seed);
-      throw_if_stopped(cancel);
-      return serialize_cnn_result(r);
-    }
+    case CampaignKind::Rtl:
+    case CampaignKind::Tmxm:
+      return serialize_campaign_result(
+          spec, run_rtl_spec(spec, caches, progress, cancel));
+    case CampaignKind::Sw:
+      if (!spec.plan.empty())
+        return serialize_planned_sw_result(
+            run_planned_sw_spec(spec, caches, progress, cancel));
+      return serialize_sw_result(run_sw_spec(spec, caches, progress, cancel));
+    case CampaignKind::Cnn:
+      return serialize_cnn_result(run_cnn_spec(spec, caches, cancel));
   }
   throw std::logic_error("unreachable campaign kind");
 }
@@ -160,28 +229,9 @@ std::string run_spec_offline(const CampaignSpec& spec) {
 std::string run_report_spec(const CampaignSpec& spec,
                             const exec::ProgressFn& progress,
                             const exec::CancelToken* cancel) {
-  if (spec.kind != CampaignKind::Rtl)
-    throw std::invalid_argument(
-        "attribution reports require an rtl campaign spec");
-  if (const auto err = validate_spec(spec))
-    throw std::invalid_argument(*err);
+  const auto rc = report_config_for_spec(spec, progress, cancel);
   obs::Span span("serve.run_report");
   span.set("op", spec.op);
-
-  core::ReportConfig rc;
-  rc.op = *parse_opcode(spec.op);
-  rc.module = *parse_module(spec.module);
-  rc.range = *parse_range(spec.range);
-  rc.n_faults = spec.faults;
-  rc.seed = spec.seed;
-  rc.jobs = spec.jobs;
-  rc.acceleration = *parse_acceleration(spec.accel);
-  rc.fault_model = *parse_fault_model(spec.fault_model);
-  rc.fault_duration = spec.fault_duration;
-  rc.burst_period = spec.burst_period;
-  rc.progress = progress;
-  rc.progress_interval = spec.progress_interval;
-  rc.cancel = cancel;
   const attr::Report report = core::run_report(rc);
   throw_if_stopped(cancel);
   return attr::render_json(report);

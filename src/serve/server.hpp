@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 
+#include "core/gpufi.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 
@@ -73,31 +74,62 @@ struct ServerStats {
 std::string encode_stats(const ServerStats& s);
 std::optional<ServerStats> decode_stats(std::string_view payload);
 
-/// Resolves an rtl/tmxm spec to the campaign config its trials run under —
-/// shared by the in-process dispatch and the fabric worker's shard executor
-/// so a sharded campaign cannot drift from the offline one.
-rtlfi::CampaignConfig campaign_config_for_spec(
-    const CampaignSpec& spec, rtl::Module module,
-    const exec::ProgressFn& progress, const exec::CancelToken* cancel);
+// ---------------------------------------------------------------------------
+// Spec runners: the one place a CampaignSpec becomes an engine config.
+//
+// Each runner validates the spec (std::invalid_argument when it is bad or of
+// another kind), maps it onto the engine config, applies the syndrome-DB
+// policy and runs the campaign on the calling thread, sharing `caches`.
+// `shard` restricts a run to one fabric shard's trial range (the default
+// runs every trial). A stopped `cancel` token makes a runner throw instead
+// of returning a partial result. The daemon (run_spec, run_report_spec),
+// fabric workers and the CLI all run campaigns through these, so an
+// offline, a served and a sharded campaign cannot drift apart.
+// ---------------------------------------------------------------------------
 
-/// Cache key of the shareable golden half of an RTL/t-MxM campaign: the
-/// workload identity (name encodes op/range or tile kind; the value seed is
-/// spec.seed) plus the trace geometry rtlfi::prepare_golden depends on.
-std::string golden_cache_key(const CampaignSpec& spec,
-                             const rtlfi::CampaignConfig& cc,
-                             const rtlfi::Workload& w);
+/// rtl and tmxm campaigns. The golden half is shared through `caches`.
+rtlfi::CampaignResult run_rtl_spec(const CampaignSpec& spec, Caches& caches,
+                                   const exec::ProgressFn& progress,
+                                   const exec::CancelToken* cancel,
+                                   exec::TrialRange shard = {});
 
-/// Executes one campaign spec on the calling thread, sharing `caches`.
-/// Returns the deterministic Result payload. `progress`/`cancel` may be
-/// empty/null. Throws on failure; throws exec-level partial results away
-/// when `cancel` stopped the loop (the caller must check the token).
+/// Fixed-trial sw campaigns (spec.plan empty).
+swfi::Result run_sw_spec(const CampaignSpec& spec, Caches& caches,
+                         const exec::ProgressFn& progress,
+                         const exec::CancelToken* cancel,
+                         exec::TrialRange shard = {});
+
+/// Adaptive sw campaigns (spec.plan set). The planner's rounds are
+/// sequential, so these never shard.
+swfi::PlanResult run_planned_sw_spec(const CampaignSpec& spec, Caches& caches,
+                                     const exec::ProgressFn& progress,
+                                     const exec::CancelToken* cancel);
+
+/// cnn campaigns.
+nn::CnnCampaignResult run_cnn_spec(const CampaignSpec& spec, Caches& caches,
+                                   const exec::CancelToken* cancel);
+
+/// The syndrome-DB policy: the database at spec.db_path for the sw models
+/// that replay syndromes (syndrome, warp, sticky) and for every cnn model;
+/// null otherwise. Loads (or builds) it once through `caches`.
+std::shared_ptr<const syndrome::Database> syndrome_db_for_spec(
+    const CampaignSpec& spec, Caches& caches);
+
+/// The attribution-report config of an rtl spec.
+core::ReportConfig report_config_for_spec(const CampaignSpec& spec,
+                                          const exec::ProgressFn& progress,
+                                          const exec::CancelToken* cancel);
+
+/// Runs one campaign spec through its runner and returns the deterministic
+/// Result payload. `progress`/`cancel` may be empty/null. Throws on failure,
+/// including when `cancel` stopped the campaign.
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
                      const exec::CancelToken* cancel);
 
-/// The offline reference path: same dispatch with fresh caches and no
-/// hooks — what the CLI runs, and what the byte-identity tests compare a
-/// served payload against.
+/// The offline reference path: the same runners with fresh caches and no
+/// hooks. The CLI runs the same runners, and the byte-identity tests
+/// compare a served payload against this.
 std::string run_spec_offline(const CampaignSpec& spec);
 
 /// Executes one attribution-report spec (kind must be rtl) on the calling

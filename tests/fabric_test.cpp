@@ -279,6 +279,44 @@ TEST(Protocol, PartialDecodersRejectGarbage) {
   EXPECT_FALSE(decode_sw_partial("not a partial", &error));
   EXPECT_FALSE(decode_shard_request("job=\n"));
   EXPECT_FALSE(decode_hello("version=x\n"));
+  // A version past 32 bits is not v1.
+  EXPECT_FALSE(decode_hello("version=4294967297\nname=w\npid=1\n"));
+  // Shard positions past 32 bits are rejected, not truncated.
+  const std::string spec = "--- spec ---\nkind=rtl\n";
+  EXPECT_TRUE(decode_shard_request(
+      "job=1\nshard=0\nn_shards=1\noffset=0\ncount=0\nfinal=1\n" + spec));
+  EXPECT_FALSE(decode_shard_request(
+      "job=1\nshard=4294967296\nn_shards=1\noffset=0\ncount=0\nfinal=1\n" +
+      spec));
+  EXPECT_FALSE(decode_shard_request(
+      "job=1\nshard=0\nn_shards=4294967297\noffset=0\ncount=0\nfinal=1\n" +
+      spec));
+  // A wire count is not an allocation size: an absurd pc_counts length
+  // fails to decode instead of throwing from reserve().
+  const std::string head =
+      "v=1\ninjections=0\nmasked=0\nsdc=0\ndue=0\ncandidates=0\n";
+  EXPECT_TRUE(decode_sw_partial(head + "pc_counts=2 5 7\nsites=0\n", &error))
+      << error;
+  EXPECT_FALSE(decode_sw_partial(
+      head + "pc_counts=18446744073709551615\nsites=0\n", &error));
+  EXPECT_FALSE(
+      decode_sw_partial(head + "pc_counts=4000000000000\nsites=0\n", &error));
+  // Record fields are range-checked against their 32-bit types too.
+  EXPECT_TRUE(decode_sw_partial(head + "pc_counts=0\nsites=1\ns=-1 0 1 0 1 0\n",
+                                &error))
+      << error;
+  EXPECT_FALSE(decode_sw_partial(
+      head + "pc_counts=0\nsites=1\ns=2147483648 0 1 0 1 0\n", &error));
+  const auto rtl_partial = [](const char* bit) {
+    std::string p =
+        "v=1\ninjected=1\nmasked=0\nsdc_single=1\nsdc_multi=0\ndue=0\n"
+        "golden_cycles=10\nconverged_early=0\nrecords=1\nr=0 ";
+    p += bit;
+    p += " 5 0 0 0 0 1 0 1 1 0 0 0 0 0 0 0 0 0\nf=x\nw=\nattrs=0\n";
+    return p;
+  };
+  EXPECT_TRUE(decode_rtl_partial(rtl_partial("7"), &error)) << error;
+  EXPECT_FALSE(decode_rtl_partial(rtl_partial("4294967296"), &error));
 }
 
 TEST(Protocol, SpecWorkersFieldRoundTrips) {
@@ -312,6 +350,16 @@ TEST(Fabric, SwAndTmxmCampaignsByteIdentical) {
   const auto sw = sw_spec();
   EXPECT_EQ(fleet.coord->run_job(sw, 2, {}, nullptr),
             serve::run_spec_offline(sw));
+  // The models that replay the syndrome DB (sticky samples its stuck-at-1
+  // class), sharded over the same fleet.
+  for (const char* model : {"syndrome", "warp", "sticky"}) {
+    auto replay = sw_spec();
+    replay.model = model;
+    replay.db_path = GPUFI_TEST_DATA_DIR "/syndromes.db";
+    EXPECT_EQ(fleet.coord->run_job(replay, 2, {}, nullptr),
+              serve::run_spec_offline(replay))
+        << model;
+  }
 
   serve::CampaignSpec tmxm;
   tmxm.kind = serve::CampaignKind::Tmxm;

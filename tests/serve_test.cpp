@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <thread>
@@ -241,6 +242,26 @@ TEST(Protocol, SpecDecodeIsStrict) {
   EXPECT_NE(error.find("kind=sw"), std::string::npos);
   EXPECT_TRUE(decode_spec("kind=sw\nplan=target_err=0.1\n", &error)
                   .has_value()) << error;
+  // Numbers that do not fit their field are rejected, never truncated.
+  EXPECT_FALSE(decode_spec("kind=rtl\njobs=4294967296\nworkers=4294967298\n"
+                           "priority=4294967297\n",
+                           &error)
+                   .has_value());
+  EXPECT_FALSE(decode_spec("kind=rtl\njobs=4294967296\n", &error).has_value());
+  EXPECT_NE(error.find("jobs"), std::string::npos);
+  EXPECT_FALSE(
+      decode_spec("kind=rtl\nworkers=4294967298\n", &error).has_value());
+  EXPECT_FALSE(
+      decode_spec("kind=rtl\npriority=4294967297\n", &error).has_value());
+  EXPECT_FALSE(
+      decode_spec("kind=rtl\npriority=-2147483649\n", &error).has_value());
+  const auto widest = decode_spec(
+      "kind=rtl\njobs=4294967295\nworkers=4294967295\n"
+      "priority=-2147483648\n",
+      &error);
+  ASSERT_TRUE(widest.has_value()) << error;
+  EXPECT_EQ(widest->jobs, 4294967295u);
+  EXPECT_EQ(widest->priority, -2147483647 - 1);
 }
 
 TEST(Vocab, ParseProgressIntervalIsStrict) {
@@ -539,6 +560,45 @@ TEST(Serve, ServedSwCampaignMatchesOffline) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.result, offline);
   server.shutdown(true);
+}
+
+TEST(Serve, StickySpecReplaysTheStuckAt1SyndromeClass) {
+  // The syndrome-DB policy has one copy (the sw spec runner): a sticky spec
+  // samples the stuck-at-1 class. The committed database holds transient
+  // classes only, so characterize both classes into a small one here.
+  const std::string db_path =
+      "serve_sticky_" + std::to_string(::getpid()) + ".db";
+  core::RtlCharacterizationConfig dbcfg;
+  dbcfg.faults_per_campaign = 24;
+  dbcfg.value_seeds = 1;
+  dbcfg.tmxm_faults = 24;
+  dbcfg.fault_models = {rtl::FaultModel::Transient, rtl::FaultModel::StuckAt1};
+  core::build_syndrome_database(dbcfg).save_file(db_path);
+  const auto db = syndrome::Database::load_file(db_path);
+
+  CampaignSpec spec;
+  spec.kind = CampaignKind::Sw;
+  spec.app = "mxm";
+  spec.model = "sticky";
+  spec.injections = 32;
+  spec.seed = 5;
+  spec.db_path = db_path;
+  const auto replay = [&](rtl::FaultModel syndrome_class) {
+    swfi::Config cfg;
+    cfg.model = swfi::FaultModel::StickyRelativeError;
+    cfg.db = &db;
+    cfg.syndrome_model = syndrome_class;
+    cfg.n_injections = spec.injections;
+    cfg.seed = spec.seed;
+    cfg.jobs = 1;
+    return serialize_sw_result(
+        swfi::run_sw_campaign(vocab::make_app(spec.app).app, cfg));
+  };
+  const std::string offline = run_spec_offline(spec);
+  std::remove(db_path.c_str());
+  EXPECT_EQ(offline, replay(rtl::FaultModel::StuckAt1));
+  EXPECT_NE(offline, replay(rtl::FaultModel::Transient))
+      << "the two syndrome classes must be distinguishable";
 }
 
 TEST(Serve, ServedPlannedSwCampaignMatchesOffline) {
