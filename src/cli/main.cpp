@@ -90,10 +90,6 @@ int usage() {
       "half-width plus the trials saved. --injections stays the total trial\n"
       "budget; results are byte-identical for every --jobs value.\n"
       "\n"
-      "RTL commands accept --accel none|checkpoint|full: the checkpoint\n"
-      "fast-forward / golden-convergence early-exit level (default full;\n"
-      "results are byte-identical at every level).\n"
-      "\n"
       "RTL commands also accept --fault-model transient|stuck0|stuck1|burst\n"
       "(build-db takes a comma list), --fault-duration N (fault window in\n"
       "cycles; 0 = permanent for non-transient models) and --burst-period N\n"
@@ -310,11 +306,6 @@ struct Options {
         spec.tile = val;
         ok = vocab::parse_tile(val).has_value() ||
              fail("unknown --tile '" + val + "' (expected max|zero|random)");
-      } else if (key == "--accel") {
-        spec.accel = val;
-        ok = vocab::parse_acceleration(val).has_value() ||
-             fail("unknown --accel level '" + val +
-                  "' (expected none|checkpoint|full)");
       } else if (key == "--fault-model") {
         spec.fault_model = val;
         o.fault_models.clear();
@@ -498,7 +489,6 @@ int cmd_build_db(int argc, char** argv) {
   core::RtlCharacterizationConfig cfg;
   cfg.faults_per_campaign = o->spec.faults;
   cfg.jobs = o->spec.jobs;
-  cfg.acceleration = *vocab::parse_acceleration(o->spec.accel);
   cfg.fault_models = o->fault_models;
   cfg.progress = stderr_progress("campaigns");
   cfg.progress_interval = o->spec.progress_interval;

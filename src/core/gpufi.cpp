@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 
@@ -61,14 +62,18 @@ struct CampaignDesc {
 
 std::vector<CampaignDesc> characterization_grid(
     const std::vector<rtl::FaultModel>& models) {
-  // Model-major: the transient block (micro grid + t-MxM) keeps exactly the
-  // grid indices of the transient-only era, so its derived seeds — and the
-  // transient slice of the database — are byte-identical. Extra models
-  // append whole micro grids after it; t-MxM patterns are characterized for
-  // Transient only (a permanent fault corrupts every tile, which carries no
-  // pattern information).
+  // Model-major, in enum order, each listed model once: the transient block
+  // (micro grid + t-MxM) comes first and keeps exactly the grid indices of
+  // the transient-only grid, so its derived seeds — and the transient slice
+  // of the database — are byte-identical. Extra models append whole micro
+  // grids after it; t-MxM patterns are characterized for Transient only (a
+  // permanent fault corrupts every tile, which carries no pattern
+  // information).
   std::vector<CampaignDesc> grid;
-  for (rtl::FaultModel model : models) {
+  for (std::size_t m = 0; m < rtl::kNumFaultModels; ++m) {
+    const auto model = static_cast<rtl::FaultModel>(m);
+    if (std::find(models.begin(), models.end(), model) == models.end())
+      continue;
     for (isa::Opcode op : kCharacterized)
       for (unsigned r = 0; r < rtlfi::kNumRanges; ++r)
         for (rtl::Module module : modules_for(op)) {
@@ -118,7 +123,6 @@ syndrome::Database build_syndrome_database(
       cc.n_faults = cfg.tmxm_faults;
       cc.seed = rng_derive(cfg.seed, i, 0);
       cc.jobs = 1;
-      cc.acceleration = cfg.acceleration;
       cc.cancel = cfg.cancel;
       results[i] = rtlfi::run_campaign(w, cc);
       return;
@@ -132,7 +136,6 @@ syndrome::Database build_syndrome_database(
       cc.n_faults = cfg.faults_per_campaign / cfg.value_seeds;
       cc.seed = rng_derive(cfg.seed, i, v + 1);
       cc.jobs = 1;
-      cc.acceleration = cfg.acceleration;
       cc.fault_model = d.model;  // permanent window (duration 0 default)
       cc.cancel = cfg.cancel;
       merged.merge(rtlfi::run_campaign(w, cc));
@@ -222,7 +225,6 @@ attr::Report run_report(const ReportConfig& cfg) {
   rtlfi::CampaignConfig cc;
   cc.n_faults = cfg.n_faults;
   cc.jobs = cfg.jobs;
-  cc.acceleration = cfg.acceleration;
   cc.fault_model = cfg.fault_model;
   cc.fault_duration = cfg.fault_duration;
   cc.burst_period = cfg.burst_period;
@@ -231,8 +233,8 @@ attr::Report run_report(const ReportConfig& cfg) {
   cc.cancel = cfg.cancel;
 
   // The golden context (output, checkpoint ladder, liveness timeline) is a
-  // pure function of the workload and acceleration geometry — compute it
-  // once and share it across every module campaign.
+  // pure function of the workload — compute it once and share it across
+  // every module campaign.
   const rtlfi::GoldenContext golden = rtlfi::prepare_golden(w, cc);
 
   std::vector<attr::CampaignSlice> slices;

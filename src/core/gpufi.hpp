@@ -26,12 +26,11 @@ struct RtlCharacterizationConfig {
   /// ThreadPool::default_jobs()). Every campaign's seed is derived from
   /// (seed, campaign index), so the database is identical for every value.
   unsigned jobs = 0;
-  /// RTL hot-path acceleration (byte-identical results at every level).
-  rtlfi::Acceleration acceleration = rtlfi::Acceleration::CheckpointEarlyExit;
-  /// Fault models characterized, one full micro-benchmark grid per model
-  /// (model-major; Transient must come first when present so the default
-  /// grid's indices — and thus every derived seed and the database bytes —
-  /// are unchanged from the transient-only era). Non-transient models use
+  /// Fault models characterized, one full micro-benchmark grid per model.
+  /// A set: the grid walks rtl::FaultModel in enum order and takes each
+  /// listed model once, so neither order nor repeats change the database
+  /// bytes, and Transient (when listed) keeps the grid indices — hence the
+  /// derived seeds — of the transient-only grid. Non-transient models use
   /// permanent windows (duration 0); t-MxM pattern campaigns run for
   /// Transient only.
   std::vector<rtl::FaultModel> fault_models = {rtl::FaultModel::Transient};
@@ -81,7 +80,6 @@ struct ReportConfig {
   /// byte-identical to that module's slice of the all-module report.
   std::uint64_t seed = 2021;
   unsigned jobs = 0;
-  rtlfi::Acceleration acceleration = rtlfi::Acceleration::CheckpointEarlyExit;
   rtl::FaultModel fault_model = rtl::FaultModel::Transient;
   std::uint64_t fault_duration = 0;
   std::uint64_t burst_period = 8;
@@ -94,7 +92,7 @@ struct ReportConfig {
 /// the liveness timeline and checkpoint ladder are module-independent),
 /// then one campaign per requested module, aggregated into per-(module ×
 /// static instruction) and per-opcode vulnerability tables. Deterministic:
-/// identical bytes for every acceleration level and job count.
+/// identical bytes for every job count.
 attr::Report run_report(const ReportConfig& cfg);
 
 /// Trained CNNs used by the paper's CNN experiments.

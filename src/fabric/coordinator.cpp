@@ -15,6 +15,10 @@ namespace gpufi::fabric {
 
 namespace {
 
+/// A shard lost more than this many times fails its job (a fleet that keeps
+/// crashing on one range is a deployment problem, not a retry problem).
+constexpr unsigned kMaxShardRetries = 3;
+
 void set_recv_timeout(int fd, std::uint64_t ms) {
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(ms / 1000);
@@ -249,7 +253,7 @@ void Coordinator::worker_died(WorkerConn& w) {
     const auto it = jobs_.find(shard.job);
     if (it != jobs_.end() && !it->second->done()) {
       ++shard.attempts;
-      if (shard.attempts > cfg_.max_shard_retries) {
+      if (shard.attempts > kMaxShardRetries) {
         it->second->failed = true;
         it->second->error =
             "shard " + std::to_string(shard.index) + " lost " +
@@ -309,24 +313,6 @@ void Coordinator::dispatch_loop() {
         assigned = true;
       }
       if (!assigned) break;
-    }
-    // Shard wall-clock budget: a worker that blew it is severed, which
-    // funnels into the ordinary death-and-requeue path in its session.
-    if (cfg_.shard_timeout_ms != 0) {
-      const auto now = std::chrono::steady_clock::now();
-      for (auto& wp : workers_) {
-        WorkerConn& w = *wp;
-        if (!w.alive || !w.inflight) continue;
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - w.dispatched_at)
-                .count();
-        if (elapsed >= 0 &&
-            static_cast<std::uint64_t>(elapsed) > cfg_.shard_timeout_ms) {
-          logf("worker %s blew the shard budget; severing", w.name.c_str());
-          ::shutdown(w.fd, SHUT_RDWR);
-        }
-      }
     }
     cv_.wait_for(lock, std::chrono::milliseconds(200));
   }
@@ -401,7 +387,6 @@ void Coordinator::handle_progress(const ShardProgressMsg& msg) {
 
 void Coordinator::report_progress(const std::shared_ptr<JobState>& job,
                                   std::unique_lock<std::mutex>& lock) {
-  if (!job->progress) return;
   std::uint64_t done = 0;
   for (const auto d : job->shard_done) done += d;
   const std::uint64_t total = job->total_trials;
@@ -415,7 +400,8 @@ void Coordinator::report_progress(const std::shared_ptr<JobState>& job,
   lock.unlock();
   {
     std::lock_guard<std::mutex> plock(job->progress_mutex);
-    if (done >= job->last_done_reported) {
+    // run_job detaches the callback before it returns (see there).
+    if (job->progress && done >= job->last_done_reported) {
       job->last_done_reported = done;
       exec::Progress p;
       p.done = done;
@@ -508,17 +494,24 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
         job->cancelled = true;
         std::erase_if(pending_,
                       [&](const Shard& s) { return s.job == id; });
-        jobs_.erase(id);
-        throw std::runtime_error("campaign cancelled");
+        break;
       }
     }
     jobs_.erase(id);
     if (job->failed) {
       ++stats_.jobs_failed;
       obs::count("gpufi_fabric_jobs_failed_total");
-      throw std::runtime_error(job->error);
     }
   }
+  // The caller answers and closes its client connection once run_job
+  // returns: detach the callback, so a reporter that summed the shard counts
+  // before the last result landed cannot write into a reused descriptor.
+  {
+    std::lock_guard<std::mutex> plock(job->progress_mutex);
+    job->progress = nullptr;
+  }
+  if (job->cancelled) throw std::runtime_error("campaign cancelled");
+  if (job->failed) throw std::runtime_error(job->error);
   // Merge outside the lock: decoding partials is CPU work no other
   // session/dispatch step should wait on.
   std::string payload = merge_job(*job);

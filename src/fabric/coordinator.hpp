@@ -11,7 +11,7 @@
 // Failure model: a shard is a pure function of (spec, seed, range), so
 //  * a DEAD worker (EOF, read error, heartbeat timeout) only costs the
 //    re-execution of its in-flight shard — the coordinator requeues it
-//    (bounded by max_shard_retries) and the merged bytes cannot change;
+//    (at most 3 times) and the merged bytes cannot change;
 //  * a shard that REPORTS an error (ShardError) failed deterministically —
 //    a retry would fail identically, so the job fails immediately.
 
@@ -39,12 +39,6 @@ struct CoordinatorConfig {
   /// progress, no heartbeat) is declared dead and its in-flight shard
   /// requeued. Workers beacon every ~500ms, so this is many missed beats.
   std::uint64_t heartbeat_timeout_ms = 5000;
-  /// Hard per-shard wall-clock budget; exceeding it kills the worker's
-  /// connection (which requeues the shard). 0 = no budget.
-  std::uint64_t shard_timeout_ms = 0;
-  /// A shard lost this many times fails its job (a fleet that keeps
-  /// crashing on one range is a deployment problem, not a retry problem).
-  unsigned max_shard_retries = 3;
   /// Fan-out granularity: a job targeting W workers is split into up to
   /// W * this many shards, so a straggler costs 1/(W*k) of the campaign
   /// and retry loses proportionally little.

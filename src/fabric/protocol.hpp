@@ -33,12 +33,13 @@
 
 namespace gpufi::fabric {
 
-/// Fabric protocol revision. Bumped whenever any fabric payload codec,
-/// enum numbering, or the shard-planning contract changes; the coordinator
+/// Fabric protocol revision. Bumped whenever any fabric payload codec
+/// (including the CampaignSpec encoding a ShardRequest carries), enum
+/// numbering, or the shard-planning contract changes; the coordinator
 /// rejects a Hello carrying any other value (see Coordinator) so a stale
 /// worker binary fails fast with a clear error instead of corrupting a
 /// merge.
-inline constexpr std::uint32_t kFabricProtocolVersion = 1;
+inline constexpr std::uint32_t kFabricProtocolVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Control messages.

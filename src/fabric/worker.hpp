@@ -5,10 +5,9 @@
 // trial-range shards it is assigned — each shard a pure function of
 // (spec, seed, range), so the coordinator may re-run one anywhere after a
 // loss. The worker keeps its own serve::Caches: the golden context of a
-// workload × acceleration geometry is built once per worker and reused by
-// every shard (and every campaign) that shares the key, and syndrome
-// databases load once per path — the per-worker tier of the fabric's
-// tiered caching.
+// workload is built once per worker and reused by every shard (and every
+// campaign) that shares the key, and syndrome databases load once per
+// path — the per-worker tier of the fabric's tiered caching.
 
 #include <atomic>
 #include <cstdint>

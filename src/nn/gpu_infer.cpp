@@ -13,6 +13,8 @@ using namespace gpufi::isa;
 
 namespace {
 
+constexpr std::uint64_t kLaunchBudget = 40'000'000;  ///< per-launch watchdog
+
 unsigned pad8(unsigned v) { return (v + 7) & ~7u; }
 
 /// Rectangular tiled GEMM kernel: C[mp x np] = A[mp x kp] * B[kp x np].
@@ -158,7 +160,7 @@ std::optional<std::vector<float>> GpuInference::run(
     emu::LaunchConfig cfg;
     cfg.hook = opts.hook;
     cfg.oob_wraps = true;
-    cfg.max_retired = opts.launch_budget;
+    cfg.max_retired = kLaunchBudget;
     const auto r =
         dev.launch(p, emu::LaunchDims{g.np / 8, g.mp / 8, 8, 8}, cfg);
     if (r.status != emu::LaunchStatus::Ok) return std::nullopt;

@@ -24,7 +24,6 @@ struct TileFault {
 struct InferOptions {
   emu::InstrumentHook* hook = nullptr;      ///< software fault injector
   const TileFault* tile_fault = nullptr;    ///< t-MxM corruption
-  std::uint64_t launch_budget = 40'000'000;  ///< per-launch watchdog
 };
 
 /// Emulator-backed CNN inference: every convolution and fully connected

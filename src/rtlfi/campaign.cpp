@@ -107,9 +107,14 @@ std::string outcome_metric(const CampaignConfig& cfg, Outcome o) {
                     "outcome", outcome_name(o));
 }
 
-}  // namespace
-
-namespace {
+/// Watchdog = golden_cycles * factor + slack (hang detection).
+constexpr std::uint64_t kWatchdogFactor = 4;
+constexpr std::uint64_t kWatchdogSlack = 4096;
+/// Golden checkpoint-ladder rungs per run: ~24 rungs bound the average
+/// fast-forward replay to ~2% of a full run at negligible capture cost.
+constexpr std::uint64_t kLadderRungs = 24;
+/// Cycles between faulty-vs-golden digest comparisons.
+constexpr std::uint64_t kConvergenceCheckInterval = 16;
 
 /// One fault-injection trial: draws the (bit, cycle) location from this
 /// trial's private Rng, replays the workload with the fault armed, and
@@ -123,8 +128,7 @@ void run_one_fault(rtl::Sm& sm, const Workload& w, const CampaignConfig& cfg,
                    std::uint64_t golden_cycles, std::uint64_t watchdog,
                    const rtl::GoldenTrace* trace,
                    const rtl::LivenessTimeline* liveness, bool early_exit,
-                   std::uint64_t check_interval, Rng& rng,
-                   CampaignResult& shard) {
+                   Rng& rng, CampaignResult& shard) {
   rtl::FaultSpec fault;
   fault.module = cfg.module;
   fault.bit = static_cast<std::uint32_t>(rng.below(layout.bits()));
@@ -160,7 +164,8 @@ void run_one_fault(rtl::Sm& sm, const Workload& w, const CampaignConfig& cfg,
     const rtl::SmCheckpoint* from = trace->floor(fault.cycle);
     if (!from) throw std::logic_error("empty golden checkpoint ladder");
     run = sm.resume_with_fault(w.program, w.dims, fault, watchdog, *from,
-                               early_exit ? trace : nullptr, check_interval);
+                               early_exit ? trace : nullptr,
+                               kConvergenceCheckInterval);
   } else {
     // Pristine memory image per trial (the restore path starts every trial
     // from the golden image, so the naive path must too for byte-identity:
@@ -285,9 +290,7 @@ GoldenContext prepare_golden(const Workload& w, const CampaignConfig& cfg) {
   // and sharing invariant by construction.
   if (cfg.acceleration != Acceleration::None) {
     const std::uint64_t rung_interval =
-        cfg.checkpoint_interval != 0
-            ? cfg.checkpoint_interval
-            : std::max<std::uint64_t>(1, golden.golden_cycles / 24);
+        std::max<std::uint64_t>(1, golden.golden_cycles / kLadderRungs);
     auto trace = std::make_shared<rtl::GoldenTrace>();
     rtl::Sm sm;
     w.setup(sm);
@@ -316,11 +319,8 @@ CampaignResult run_campaign(const Workload& w, const CampaignConfig& cfg,
                            "context for " + w.name);
 
   const std::uint64_t watchdog =
-      golden.golden_cycles * cfg.watchdog_factor + cfg.watchdog_slack;
+      golden.golden_cycles * kWatchdogFactor + kWatchdogSlack;
   const bool early_exit = cfg.acceleration == Acceleration::CheckpointEarlyExit;
-  const std::uint64_t check_interval = cfg.convergence_check_interval != 0
-                                           ? cfg.convergence_check_interval
-                                           : 16;
   const rtl::GoldenTrace* trace =
       cfg.acceleration != Acceleration::None ? golden.trace.get() : nullptr;
 
@@ -341,8 +341,7 @@ CampaignResult run_campaign(const Workload& w, const CampaignConfig& cfg,
           CampaignResult& shard) {
         run_one_fault(*sm, w, cfg, layout, golden.golden_out,
                       golden.golden_cycles, watchdog, trace,
-                      golden.liveness.get(), early_exit, check_interval, rng,
-                      shard);
+                      golden.liveness.get(), early_exit, rng, shard);
       });
   result.golden_cycles = golden.golden_cycles;
   return result;

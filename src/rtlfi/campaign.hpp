@@ -105,9 +105,6 @@ struct CampaignConfig {
   std::uint64_t fault_duration = 0;
   /// IntermittentBurst re-flip period in cycles.
   std::uint64_t burst_period = 8;
-  /// Watchdog = golden_cycles * factor + slack (hang detection).
-  std::uint64_t watchdog_factor = 4;
-  std::uint64_t watchdog_slack = 4096;
   /// Keep detailed records for DUEs and multi-thread SDCs too.
   bool keep_all_records = false;
   /// Trial-loop parallelism: 0 resolves to ThreadPool::default_jobs()
@@ -115,14 +112,9 @@ struct CampaignConfig {
   /// byte-identical for every value — trial i draws from
   /// Rng(rng_derive(seed, i)) and records are merged in trial order.
   unsigned jobs = 0;
-  /// RTL fast-path level (results are identical across levels).
+  /// RTL fast-path level (results are identical across levels). Only the
+  /// equivalence tests select the slower reference levels.
   Acceleration acceleration = Acceleration::CheckpointEarlyExit;
-  /// Cycles between golden checkpoint-ladder rungs; 0 auto-sizes to
-  /// max(1, golden_cycles / 24) — ~24 rungs bound the average fast-forward
-  /// replay to ~2% of a full run while keeping capture cost negligible.
-  std::uint64_t checkpoint_interval = 0;
-  /// Cycles between faulty-vs-golden digest comparisons; 0 picks 16.
-  std::uint64_t convergence_check_interval = 0;
   /// Optional telemetry callback (injections done, injections/sec, ETA).
   exec::ProgressFn progress;
   /// Fire `progress` every this many injections; 0 = automatic throttle.
@@ -144,8 +136,8 @@ struct CampaignConfig {
 /// The reusable fault-free half of a campaign: golden cycle count and
 /// reference output, plus (for accelerated modes) the checkpoint ladder and
 /// digest timeline. Everything here is a pure function of the Workload and
-/// the acceleration geometry (`acceleration` != None, `checkpoint_interval`)
-/// — independent of seed, fault count, jobs and watchdog — so one context
+/// whether `acceleration` is None — independent of seed, fault count, jobs
+/// and fault model — so one context
 /// can be computed once and shared read-only by any number of concurrent
 /// campaigns over the same workload (the serve-mode golden cache does
 /// exactly that).
@@ -221,9 +213,8 @@ struct CampaignResult {
 CampaignResult run_campaign(const Workload& w, const CampaignConfig& cfg);
 
 /// Same campaign, but fast-forwarding from an already-prepared golden
-/// context (see prepare_golden). `golden` must have been prepared with a
-/// compatible acceleration geometry: accelerated configs require
-/// golden.trace. Byte-identical to the single-argument overload — sharing
+/// context (see prepare_golden). Accelerated configs require golden.trace,
+/// i.e. a context prepared with an accelerated config. Byte-identical to the single-argument overload — sharing
 /// the context across campaigns cannot change any result.
 CampaignResult run_campaign(const Workload& w, const CampaignConfig& cfg,
                             const GoldenContext& golden);

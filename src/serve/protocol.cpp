@@ -236,7 +236,6 @@ std::string encode_spec(const CampaignSpec& spec) {
   put_kv(out, "seed", spec.seed);
   put_kv(out, "jobs", spec.jobs);
   put_kv(out, "workers", spec.workers);
-  put_kv(out, "accel", spec.accel);
   put_kv(out, "db", spec.db_path);
   put_kv(out, "models", spec.models_dir);
   put_kv(out, "priority", std::to_string(spec.priority));
@@ -283,7 +282,6 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
         if (key == "fault_model") { spec.fault_model = value; return true; }
         if (key == "fault_duration") return number(spec.fault_duration);
         if (key == "burst_period") return number(spec.burst_period);
-        if (key == "accel") { spec.accel = value; return true; }
         if (key == "db") { spec.db_path = value; return true; }
         if (key == "models") { spec.models_dir = value; return true; }
         if (key == "faults") return number(spec.faults);
@@ -313,8 +311,6 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
 }
 
 std::optional<std::string> validate_spec(const CampaignSpec& spec) {
-  if (!vocab::parse_acceleration(spec.accel))
-    return "unknown accel level: " + spec.accel;
   if (!vocab::parse_fault_model(spec.fault_model))
     return "unknown fault model: " + spec.fault_model;
   if (!spec.plan.empty()) {

@@ -174,7 +174,6 @@ struct CampaignSpec {
   /// served by up to this many `gpufi worker` processes; 0 runs it inside
   /// the daemon process. The Result payload is byte-identical either way.
   unsigned workers = 0;
-  std::string accel = "full";  ///< none|checkpoint|full
   std::string db_path = "gpufi_data/syndromes.db";
   std::string models_dir = "gpufi_data";
   int priority = 0;              ///< lower value = served earlier
@@ -199,7 +198,7 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
                                         std::string* error = nullptr);
 
 /// Validates the spec's vocabulary fields against the engine's parsers
-/// (opcode, module, range, tile, accel, app, model, net — whichever the
+/// (opcode, module, range, tile, app, model, net — whichever the
 /// kind uses). Returns an error message, or nullopt when the spec is sound.
 std::optional<std::string> validate_spec(const CampaignSpec& spec);
 

@@ -45,21 +45,6 @@ void require_spec(const CampaignSpec& spec, bool kind_ok,
   if (const auto err = validate_spec(spec)) throw std::invalid_argument(*err);
 }
 
-/// Cache key of the shareable golden half of an RTL/t-MxM campaign: the
-/// workload identity (name encodes op/range or tile kind) and value seed,
-/// plus the trace geometry rtlfi::prepare_golden depends on.
-std::string golden_cache_key(const rtlfi::Workload& w,
-                             const rtlfi::CampaignConfig& cc) {
-  std::string key = w.name;
-  key += "/vseed=";
-  key += std::to_string(cc.seed);
-  if (cc.acceleration == rtlfi::Acceleration::None)
-    key += "/untraced";
-  else
-    key += "/ckpt=" + std::to_string(cc.checkpoint_interval);
-  return key;
-}
-
 /// The sw engine config of a validated sw spec, syndrome-DB policy
 /// included. `db` keeps the replayed database alive for cfg.db.
 swfi::Config sw_config_for_spec(const CampaignSpec& spec, Caches& caches,
@@ -105,7 +90,6 @@ rtlfi::CampaignResult run_rtl_spec(const CampaignSpec& spec, Caches& caches,
   cc.n_faults = spec.faults;
   cc.seed = spec.seed;
   cc.jobs = spec.jobs;
-  cc.acceleration = *vocab::parse_acceleration(spec.accel);
   cc.fault_model = *vocab::parse_fault_model(spec.fault_model);
   cc.fault_duration = spec.fault_duration;
   cc.burst_period = spec.burst_period;
@@ -114,8 +98,12 @@ rtlfi::CampaignResult run_rtl_spec(const CampaignSpec& spec, Caches& caches,
   cc.cancel = cancel;
   cc.shard_offset = shard.offset;
   cc.shard_count = shard.count;
-  const auto golden = caches.golden(
-      golden_cache_key(w, cc), [&] { return rtlfi::prepare_golden(w, cc); });
+  // The golden half is keyed by workload identity (the name encodes
+  // op/range or tile kind) and value seed; every runner prepares the same
+  // traced golden, so nothing else enters the key.
+  const auto golden =
+      caches.golden(w.name + "/vseed=" + std::to_string(spec.seed),
+                    [&] { return rtlfi::prepare_golden(w, cc); });
   auto r = rtlfi::run_campaign(w, cc, *golden);
   throw_if_stopped(cancel);
   return r;
@@ -190,7 +178,6 @@ core::ReportConfig report_config_for_spec(const CampaignSpec& spec,
   rc.n_faults = spec.faults;
   rc.seed = spec.seed;
   rc.jobs = spec.jobs;
-  rc.acceleration = *vocab::parse_acceleration(spec.accel);
   rc.fault_model = *vocab::parse_fault_model(spec.fault_model);
   rc.fault_duration = spec.fault_duration;
   rc.burst_period = spec.burst_period;
@@ -658,8 +645,6 @@ void Server::start() {
     }
     fabric::CoordinatorConfig fc;
     fc.listen = *ep;
-    fc.heartbeat_timeout_ms = impl_->cfg.fabric_heartbeat_timeout_ms;
-    fc.max_shard_retries = impl_->cfg.fabric_max_retries;
     fc.quiet = impl_->cfg.quiet;
     impl_->fabric = std::make_unique<fabric::Coordinator>(fc);
     try {

@@ -41,9 +41,6 @@ struct ServerConfig {
   /// "tcp:HOST:PORT"); empty disables the fabric, and submits asking for
   /// workers > 0 are then rejected with a clear error.
   std::string fabric_listen;
-  /// See fabric::CoordinatorConfig.
-  std::uint64_t fabric_heartbeat_timeout_ms = 5000;
-  unsigned fabric_max_retries = 3;
 };
 
 /// Point-in-time counters (the Stats frame payload).

@@ -125,13 +125,6 @@ std::optional<rtlfi::TileKind> parse_tile(std::string_view s) {
   return std::nullopt;
 }
 
-std::optional<rtlfi::Acceleration> parse_acceleration(std::string_view s) {
-  if (s == "none") return rtlfi::Acceleration::None;
-  if (s == "checkpoint") return rtlfi::Acceleration::Checkpoint;
-  if (s == "full") return rtlfi::Acceleration::CheckpointEarlyExit;
-  return std::nullopt;
-}
-
 std::optional<rtl::FaultModel> parse_fault_model(std::string_view s) {
   if (s == "transient") return rtl::FaultModel::Transient;
   if (s == "stuck0") return rtl::FaultModel::StuckAt0;

@@ -2,10 +2,9 @@
 
 // The one spec vocabulary shared by every user-facing layer (CLI flags,
 // serve-protocol specs): name<->enum maps for opcodes, modules, input
-// ranges, tile kinds, acceleration levels, fault models (RTL and software),
-// CNN fault models, and the HPC application factory. Hoisted here so the
-// CLI and the wire protocol cannot drift — both parse and print exactly
-// these tokens.
+// ranges, tile kinds, fault models (RTL and software), CNN fault models,
+// and the HPC application factory. Hoisted here so the CLI and the wire
+// protocol cannot drift — both parse and print exactly these tokens.
 
 #include <optional>
 #include <string>
@@ -16,7 +15,6 @@
 #include "nn/gpu_infer.hpp"
 #include "rtl/sm.hpp"
 #include "rtl/state.hpp"
-#include "rtlfi/campaign.hpp"
 #include "rtlfi/microbench.hpp"
 #include "swfi/planner.hpp"
 #include "swfi/swfi.hpp"
@@ -35,9 +33,6 @@ std::optional<rtlfi::InputRange> parse_range(std::string_view s);
 
 /// t-MxM tile token: max|zero|random.
 std::optional<rtlfi::TileKind> parse_tile(std::string_view s);
-
-/// Acceleration-level token: none|checkpoint|full.
-std::optional<rtlfi::Acceleration> parse_acceleration(std::string_view s);
 
 /// RTL fault-model token: transient|stuck0|stuck1|burst.
 std::optional<rtl::FaultModel> parse_fault_model(std::string_view s);

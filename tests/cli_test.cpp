@@ -47,9 +47,9 @@ const std::vector<Case>& cases() {
       {"rtl_stuck1", 0, "rtl_stuck1.txt",
        {"rtl", "FFMA", "fp32", "--faults", "60", "--seed", "7",
         "--fault-model", "stuck1"}},
-      {"rtl_checkpoint", 0, "rtl_checkpoint.txt",
+      {"rtl_int_range_l_jobs2", 0, "rtl_int_range_l_jobs2.txt",
        {"rtl", "IADD", "int", "--faults", "40", "--seed", "5", "--range", "L",
-        "--accel", "checkpoint", "--jobs", "2"}},
+        "--jobs", "2"}},
       {"tmxm_sched", 0, "tmxm_sched.txt",
        {"tmxm", "sched", "--faults", "48", "--seed", "3"}},
       {"tmxm_pipe_max", 0, "tmxm_pipe_max.txt",
@@ -99,8 +99,9 @@ const std::vector<Case>& cases() {
       {"tmxm_bad_range", 2, "usage.txt", {"tmxm", "sched", "--range", "Q"}},
       {"rtl_bad_tile", 2, "usage.txt",
        {"rtl", "FFMA", "fp32", "--tile", "square"}},
+      // The reference RTL levels are test oracles, not a CLI option.
       {"rtl_bad_accel", 2, "usage.txt",
-       {"rtl", "FFMA", "fp32", "--accel", "warp9"}},
+       {"rtl", "FFMA", "fp32", "--accel", "full"}},
       {"sw_bad_plan", 2, "usage.txt",
        {"sw", "mxm", "bitflip", "--plan", "target_err=2"}},
       {"rtl_fault_model_list", 2, "usage.txt",

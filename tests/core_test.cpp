@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
 
 #include "core/gpufi.hpp"
@@ -72,6 +73,18 @@ TEST_F(CoreFacade, BuildDatabaseMultiModelGridAppendsModelBlocks) {
   EXPECT_EQ(both.find(probe)->count(), transient_only.find(probe)->count());
   if (both.find(probe)->count() > 0)
     EXPECT_EQ(both.find(probe)->median(), transient_only.find(probe)->median());
+
+  // The model list is a set: a repeated model runs once and the listed
+  // order changes no byte of the saved database.
+  const auto saved = [](const syndrome::Database& db) {
+    std::ostringstream os;
+    db.save(os);
+    return os.str();
+  };
+  cfg.fault_models = {rtl::FaultModel::Transient, rtl::FaultModel::Transient};
+  EXPECT_EQ(saved(build_syndrome_database(cfg)), saved(transient_only));
+  cfg.fault_models = {rtl::FaultModel::StuckAt1, rtl::FaultModel::Transient};
+  EXPECT_EQ(saved(build_syndrome_database(cfg)), saved(both));
 }
 
 TEST_F(CoreFacade, BuildDatabaseCancellationThrowsInsteadOfTruncating) {

@@ -40,7 +40,6 @@ serve::CampaignSpec load_spec() {
   spec.faults = 32;
   spec.seed = 7;
   spec.jobs = 1;
-  spec.accel = "full";
   spec.workers = kFleetSize;
   return spec;
 }

@@ -43,7 +43,6 @@ serve::CampaignSpec rtl_spec() {
   spec.faults = 96;
   spec.seed = 7;
   spec.jobs = 1;
-  spec.accel = "full";
   return spec;
 }
 
@@ -368,7 +367,6 @@ TEST(Fabric, SwAndTmxmCampaignsByteIdentical) {
   tmxm.faults = 64;
   tmxm.seed = 3;
   tmxm.jobs = 1;
-  tmxm.accel = "full";
   EXPECT_EQ(fleet.coord->run_job(tmxm, 2, {}, nullptr),
             serve::run_spec_offline(tmxm));
 }

@@ -50,7 +50,6 @@ CampaignSpec small_rtl_spec() {
   spec.faults = 30;
   spec.seed = 7;
   spec.jobs = 1;
-  spec.accel = "full";
   return spec;
 }
 
@@ -198,7 +197,6 @@ TEST(Protocol, SpecRoundTripsEveryField) {
   spec.injections = 45;
   spec.seed = 999;
   spec.jobs = 3;
-  spec.accel = "checkpoint";
   spec.db_path = "some/dir/syn.db";
   spec.models_dir = "some/dir";
   spec.priority = -2;
@@ -226,6 +224,9 @@ TEST(Protocol, SpecDecodeIsStrict) {
   EXPECT_FALSE(decode_spec("kind=sw\napp=doom\n", &error).has_value());
   EXPECT_FALSE(decode_spec("kind=cnn\nnet=alexnet\n", &error).has_value());
   EXPECT_FALSE(decode_spec("kind=rtl\naccel=warp9\n", &error).has_value());
+  // The reference RTL levels are test oracles, not a spec field.
+  EXPECT_FALSE(decode_spec("kind=rtl\naccel=full\n", &error).has_value());
+  EXPECT_EQ(error, "unknown spec key: accel");
   EXPECT_FALSE(decode_spec("kind=marsupial\n", &error).has_value());
   // Unknown fault-model token rejected for every kind.
   EXPECT_FALSE(decode_spec("kind=rtl\nfault_model=gamma\n", &error)
@@ -525,7 +526,6 @@ TEST(Serve, ServedStuckAtCampaignMatchesOffline) {
   // the offline run, and its serialized result carries the model token.
   auto spec = small_rtl_spec();
   spec.fault_model = "stuck1";
-  spec.accel = "checkpoint";  // permanent faults never early-exit anyway
   const std::string offline = run_spec_offline(spec);
   ASSERT_FALSE(offline.empty());
   ASSERT_NE(offline.find("fault_model=stuck1"), std::string::npos);
@@ -742,8 +742,7 @@ TEST(Serve, FullQueueRejectsWithBackpressure) {
 
   // A deliberately slow campaign occupies the single worker...
   auto slow = small_rtl_spec();
-  slow.faults = 800;
-  slow.accel = "none";
+  slow.faults = 8000;
   const int running = submit_raw(cfg.socket_path, slow);
   ASSERT_TRUE(wait_until([&] { return server.stats().active == 1; }));
   // ...a second fills the only queue slot...
@@ -772,9 +771,8 @@ TEST(Serve, ExpiredDeadlineCancelsTheCampaign) {
   Server server(cfg);
   server.start();
   auto spec = small_rtl_spec();
-  spec.faults = 2000;
-  spec.accel = "none";
-  spec.deadline_ms = 1;  // expires long before 2000 unaccelerated trials
+  spec.faults = 8000;
+  spec.deadline_ms = 1;  // expires long before 8000 trials
   const int fd = submit_raw(cfg.socket_path, spec);
   const Frame reply = read_final(fd);
   EXPECT_EQ(reply.type, FrameType::Error);
@@ -817,8 +815,7 @@ TEST(Serve, ForcedShutdownCancelsActiveAndBouncesQueued) {
   Server server(cfg);
   server.start();
   auto slow = small_rtl_spec();
-  slow.faults = 800;
-  slow.accel = "none";
+  slow.faults = 8000;
   const int running = submit_raw(cfg.socket_path, slow);
   ASSERT_TRUE(wait_until([&] { return server.stats().active == 1; }));
   const int queued = submit_raw(cfg.socket_path, small_rtl_spec());
