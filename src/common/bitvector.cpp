@@ -1,8 +1,6 @@
 #include "common/bitvector.hpp"
 
 #include <bit>
-#include <cassert>
-#include <stdexcept>
 
 namespace gpufi {
 
@@ -11,54 +9,6 @@ BitVector::BitVector(std::size_t bits)
 
 void BitVector::clear() {
   for (auto& w : words_) w = 0;
-}
-
-bool BitVector::get(std::size_t i) const {
-  assert(i < size_);
-  return (words_[i >> 6] >> (i & 63)) & 1u;
-}
-
-void BitVector::set(std::size_t i, bool v) {
-  assert(i < size_);
-  const std::uint64_t mask = std::uint64_t{1} << (i & 63);
-  if (v)
-    words_[i >> 6] |= mask;
-  else
-    words_[i >> 6] &= ~mask;
-}
-
-void BitVector::flip(std::size_t i) {
-  assert(i < size_);
-  words_[i >> 6] ^= std::uint64_t{1} << (i & 63);
-}
-
-std::uint64_t BitVector::get_field(std::size_t offset,
-                                   std::size_t width) const {
-  assert(width >= 1 && width <= 64);
-  assert(offset + width <= size_);
-  const std::size_t w = offset >> 6;
-  const std::size_t b = offset & 63;
-  std::uint64_t lo = words_[w] >> b;
-  if (b + width > 64) lo |= words_[w + 1] << (64 - b);
-  if (width == 64) return lo;
-  return lo & ((std::uint64_t{1} << width) - 1);
-}
-
-void BitVector::set_field(std::size_t offset, std::size_t width,
-                          std::uint64_t value) {
-  assert(width >= 1 && width <= 64);
-  assert(offset + width <= size_);
-  const std::uint64_t mask =
-      width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-  value &= mask;
-  const std::size_t w = offset >> 6;
-  const std::size_t b = offset & 63;
-  words_[w] = (words_[w] & ~(mask << b)) | (value << b);
-  if (b + width > 64) {
-    const std::size_t hi_bits = b + width - 64;
-    const std::uint64_t hi_mask = (std::uint64_t{1} << hi_bits) - 1;
-    words_[w + 1] = (words_[w + 1] & ~hi_mask) | (value >> (64 - b));
-  }
 }
 
 std::size_t BitVector::popcount() const {

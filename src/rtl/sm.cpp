@@ -87,7 +87,13 @@ class Machine {
         fault_(fault),
         max_cycles_(max_cycles),
         ctx_(ctx),
-        L(layouts()) {}
+        L(layouts()) {
+    if (fault_) {
+      // Resolved once: stuck-at and burst faults re-drive it every edge.
+      fault_bank_ = &module_of(fault_->module);
+      fault_bit_ = fault_bank_->layout().locate(fault_->bit);
+    }
+  }
 
   RunResult run() {
     RunResult result;
@@ -141,7 +147,7 @@ class Machine {
     const FaultSpec& f = *fault_;
     if (cycle_ < f.cycle) return;
     if (f.model == FaultModel::Transient) {
-      module_of(f.module).flip(f.bit);
+      fault_bank_->flip(fault_bit_);
       fault_pending_ = false;
       return;
     }
@@ -156,12 +162,11 @@ class Machine {
       case FaultModel::StuckAt1:
         // Re-asserted at every clock edge inside the window, so any pipeline
         // write to the flip-flop is overridden on the next edge.
-        module_of(f.module).force(f.bit, f.model == FaultModel::StuckAt1);
+        fault_bank_->force(fault_bit_, f.model == FaultModel::StuckAt1);
         break;
       case FaultModel::IntermittentBurst: {
         const std::uint64_t period = std::max<std::uint64_t>(1, f.period);
-        if ((cycle_ - f.cycle) % period == 0)
-          module_of(f.module).flip(f.bit);
+        if ((cycle_ - f.cycle) % period == 0) fault_bank_->flip(fault_bit_);
         break;
       }
       case FaultModel::Transient:
@@ -1280,6 +1285,8 @@ class Machine {
   const isa::Program& prog_;
   const GridDims& dims_;
   std::optional<FaultSpec> fault_;
+  ModuleState* fault_bank_ = nullptr;
+  FieldBit fault_bit_;
   std::uint64_t max_cycles_;
   const RunCtx& ctx_;
   const Layouts& L;
