@@ -65,6 +65,42 @@ TEST(StateDigest, EnablingTrackingMidwayMatchesAlwaysOn) {
   EXPECT_EQ(tracked.state_digest(), late.state_digest());
 }
 
+TEST(StateDigest, IncrementalMatchesRecomputedOnAllCharacterizedWorkloads) {
+  // The same check over the 39 workloads the syndrome DB characterizes: the
+  // 12 instructions' micro-benchmarks in every range (value seed 100·r, as
+  // the grid's first value seed) and the three t-MxM tiles. Fields written
+  // sign-extended (the FP32 unit's signed exponents, the SFU's polynomial
+  // terms) must leave no residue of their write history in the digest.
+  constexpr isa::Opcode kOps[] = {
+      isa::Opcode::FADD, isa::Opcode::FMUL, isa::Opcode::FFMA,
+      isa::Opcode::IADD, isa::Opcode::IMUL, isa::Opcode::IMAD,
+      isa::Opcode::FSIN, isa::Opcode::FEXP, isa::Opcode::GLD,
+      isa::Opcode::GST,  isa::Opcode::BRA,  isa::Opcode::ISETP};
+  std::vector<Workload> workloads;
+  for (const auto op : kOps)
+    for (unsigned r = 0; r < rtlfi::kNumRanges; ++r)
+      workloads.push_back(rtlfi::make_microbenchmark(
+          op, static_cast<rtlfi::InputRange>(r), 100 * r));
+  for (unsigned k = 0; k < 3; ++k)
+    workloads.push_back(
+        rtlfi::make_tmxm(static_cast<rtlfi::TileKind>(k), k + 1));
+  ASSERT_EQ(workloads.size(), 39u);
+
+  for (const auto& w : workloads) {
+    Sm tracked;
+    tracked.enable_digest_tracking();
+    w.setup(tracked);
+    ASSERT_EQ(tracked.run(w.program, w.dims).status, RunStatus::Ok) << w.name;
+    const std::uint64_t incremental = tracked.state_digest();
+
+    Sm late;
+    w.setup(late);
+    ASSERT_EQ(late.run(w.program, w.dims).status, RunStatus::Ok) << w.name;
+    late.enable_digest_tracking();
+    EXPECT_EQ(incremental, late.state_digest()) << w.name;
+  }
+}
+
 TEST(StateDigest, FlipChangesAndRevertsDigest) {
   Sm sm;
   sm.enable_digest_tracking();
