@@ -2,8 +2,10 @@
 
 #include <bit>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/bitvector.hpp"
 #include "common/rng.hpp"
 #include "emu/device.hpp"
 #include "isa/isa.hpp"
@@ -79,6 +81,125 @@ TEST(Layouts, FieldNamesAreUnique) {
     std::set<std::string> names;
     for (const auto& f : l.fields()) names.insert(f.name);
     EXPECT_EQ(names.size(), l.fields().size()) << module_name(m);
+  }
+}
+
+// ------------------------------------- word-per-field bank vs packed image
+
+/// A bank's digest recomputed from a packed image: the XOR of
+/// state_digest_mix over every field's (offset, value) pair.
+std::uint64_t packed_digest(const StateLayout& l, const BitVector& bits,
+                            std::uint64_t salt) {
+  std::uint64_t d = 0;
+  for (const auto& f : l.fields())
+    d ^= state_digest_mix(salt, f.offset, bits.get_field(f.offset, f.width));
+  return d;
+}
+
+/// Every observable of a live bank against the packed reference: each
+/// field read, the packed image, and (while tracking) the digest.
+::testing::AssertionResult bank_matches(const ModuleState& bank,
+                                        const BitVector& ref,
+                                        std::uint64_t salt) {
+  const auto& l = bank.layout();
+  for (const auto& f : l.fields()) {
+    const std::uint64_t got = bank.get(l.locate(f.offset).field);
+    const std::uint64_t want = ref.get_field(f.offset, f.width);
+    if (got != want)
+      return ::testing::AssertionFailure()
+             << "field " << f.name << " reads " << got << ", packed " << want;
+  }
+  if (!(bank.bits() == ref))
+    return ::testing::AssertionFailure() << "packed image differs";
+  if (bank.tracking() && bank.digest() != packed_digest(l, ref, salt))
+    return ::testing::AssertionFailure() << "digest is not the state's";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ModuleStateTest, WordPerFieldStorageMatchesPackedReference) {
+  for (auto m : {Module::Fp32Fu, Module::IntFu, Module::Sfu, Module::SfuCtl,
+                 Module::Scheduler, Module::PipelineRegs}) {
+    SCOPED_TRACE(std::string(module_name(m)));
+    const auto& l = layouts().of(m);
+    const std::uint64_t salt =
+        digest_salt(kSaltDomainModule0 + static_cast<unsigned>(m));
+    ModuleState bank(l);
+    BitVector ref(l.bits());
+    bank.set_tracking(true, salt);
+    Rng rng(0xb17 + static_cast<unsigned>(m));
+
+    // A value with bits set above the field (all 64 bits for a 64-bit
+    // field), or a small negative number written sign-extended.
+    auto wide = [&](const FieldInfo& f) {
+      std::uint64_t v = rng();
+      if (f.width < 64) v |= std::uint64_t{1} << f.width;
+      if (rng.chance(0.3))
+        v = static_cast<std::uint64_t>(
+            -static_cast<std::int64_t>(1 + rng.below(300)));
+      return v;
+    };
+    auto set = [&](const FieldInfo& f, std::uint64_t v) {
+      bank.set(l.locate(f.offset).field, v);
+      ref.set_field(f.offset, f.width, v);
+    };
+
+    // Every field written wider than it is, then its first and last bit
+    // flipped and forced both ways.
+    for (const auto& f : l.fields()) {
+      set(f, wide(f));
+      ASSERT_TRUE(bank_matches(bank, ref, salt)) << "set " << f.name;
+      for (const std::size_t bit : {std::size_t{f.offset},
+                                    std::size_t{f.offset} + f.width - 1}) {
+        bank.flip(bit);
+        ref.flip(bit);
+        ASSERT_TRUE(bank_matches(bank, ref, salt)) << "flip " << bit;
+        for (const bool v : {true, false, false, true}) {
+          bank.force(l.locate(bit), v);
+          ref.set(bit, v);
+          ASSERT_TRUE(bank_matches(bank, ref, salt)) << "force " << bit;
+        }
+      }
+    }
+
+    // A seeded mix of every operation, with resets and tracking switched
+    // off and back on (which recomputes the digest from the state).
+    for (int step = 0; step < 3000; ++step) {
+      const auto& f = l.fields()[rng.below(l.fields().size())];
+      const std::size_t bit = rng.below(l.bits());
+      switch (rng.below(16)) {
+        case 0:
+          bank.reset();
+          ref.clear();
+          break;
+        case 1:
+          bank.set_tracking(!bank.tracking(), salt);
+          break;
+        case 2:
+        case 3:
+        case 4:
+          set(f, rng() & (~std::uint64_t{0} >> (64 - f.width)));
+          break;
+        case 5:
+        case 6:
+        case 7:
+        case 8:
+          set(f, wide(f));
+          break;
+        case 9:
+        case 10:
+        case 11:
+          bank.flip(bit);
+          ref.flip(bit);
+          break;
+        default: {
+          const bool v = rng.chance(0.5);
+          bank.force(l.locate(bit), v);
+          ref.set(bit, v);
+          break;
+        }
+      }
+      ASSERT_TRUE(bank_matches(bank, ref, salt)) << "step " << step;
+    }
   }
 }
 
