@@ -120,10 +120,12 @@ TEST(FabricLoad, ThousandSubmitsZeroLostOrDuplicatedShards) {
   // 32 faults = 2 chunks: every job fans out into exactly 2 shards.
   EXPECT_EQ(cs.shards_completed, total * 2);
 
+  // The server counts a job completed only after its Result frame is sent,
+  // so a client can return before the count moves: read it once the
+  // drained shutdown has joined every executor.
+  for (auto& w : fleet) w->stop();
+  server.shutdown(/*drain=*/true);
   const auto ss = server.stats();
   EXPECT_EQ(ss.completed, total);
   EXPECT_EQ(ss.failed, 0u);
-
-  for (auto& w : fleet) w->stop();
-  server.shutdown(/*drain=*/true);
 }

@@ -8,10 +8,12 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/engine.hpp"
@@ -461,17 +463,33 @@ TEST(Fabric, WorkerDeathMidCampaignRetriesWithoutChangingBytes) {
   Fleet fleet("fab_death.sock", 0, ccfg);
   // Worker A crashes on receipt of its second shard — after returning real
   // results, so the coordinator holds a genuine partial merge when it dies.
+  // It is the only worker until it has died, so it receives that second
+  // shard however fast the shards run.
   WorkerConfig crashy;
   crashy.name = "crashy";
   crashy.fail_after_shards = 1;
   fleet.add_worker(crashy);
+  ASSERT_TRUE(fleet.coord->wait_for_workers(1, 10'000));
+
+  const auto spec = rtl_spec();
+  std::string served, error;
+  std::thread job([&] {
+    try {
+      served = fleet.coord->run_job(spec, 2, {}, nullptr);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fleet.coord->stats().shards_retried == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   WorkerConfig steady;
   steady.name = "steady";
   fleet.add_worker(steady);
-  ASSERT_TRUE(fleet.coord->wait_for_workers(2, 10'000));
-
-  const auto spec = rtl_spec();
-  const std::string served = fleet.coord->run_job(spec, 2, {}, nullptr);
+  job.join();
+  EXPECT_EQ(error, "");
   EXPECT_EQ(served, serve::run_spec_offline(spec))
       << "retried shard changed the merged bytes";
   const auto s = fleet.coord->stats();
