@@ -41,8 +41,8 @@ std::uint32_t fp32_round_pack(bool sign, std::int64_t scale_exp,
 
 // ---------------------------------------------------------------------------
 // Staged FMA datapath. Stage structs mirror the pipeline registers of the
-// RTL FP32 unit: the RTL model stores them bit-packed in a faultable
-// BitVector and calls the transition functions below each cycle; a bit flip
+// RTL FP32 unit: the RTL model stores them as fields of a faultable
+// flip-flop bank and calls the transition functions below each cycle; a flip
 // between stages therefore corrupts exactly one intermediate field, which is
 // how the "not-obvious syndrome" of the paper arises.
 // ---------------------------------------------------------------------------
