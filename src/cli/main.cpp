@@ -85,10 +85,10 @@ int usage() {
       "\n"
       "software campaigns (sw, submit sw) accept --plan: a ZOFI-style\n"
       "adaptive sampler that stratifies injections over (opcode x input\n"
-      "range), stops each stratum once the Wilson interval on its SDC rate\n"
-      "is narrower than target_err, and reports the stratified PVF with its\n"
-      "half-width plus the trials saved. --injections stays the total trial\n"
-      "budget; results are byte-identical for every --jobs value.\n"
+      "range), runs a min_trials pilot, then Neyman-allocated rounds until\n"
+      "the stratified PVF's 95% half-width is at most target_err, and\n"
+      "reports that PVF, its half-width and the trials saved. max_trials\n"
+      "caps each stratum; --injections stays the total trial budget.\n"
       "\n"
       "RTL commands also accept --fault-model transient|stuck0|stuck1|burst\n"
       "(build-db takes a comma list), --fault-duration N (fault window in\n"

@@ -133,7 +133,8 @@ syndrome::Database build_syndrome_database(
       const auto w = rtlfi::make_microbenchmark(d.op, d.range, 100 * r + v);
       rtlfi::CampaignConfig cc;
       cc.module = d.module;
-      cc.n_faults = cfg.faults_per_campaign / cfg.value_seeds;
+      cc.n_faults = cfg.faults_per_campaign / cfg.value_seeds +
+                    (v < cfg.faults_per_campaign % cfg.value_seeds);
       cc.seed = rng_derive(cfg.seed, i, v + 1);
       cc.jobs = 1;
       cc.fault_model = d.model;  // permanent window (duration 0 default)

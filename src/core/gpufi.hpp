@@ -18,6 +18,8 @@ namespace gpufi::core {
 /// (1.7M+ injections); the defaults here are sized for a single-core
 /// machine and can be raised via `paper_scale()`.
 struct RtlCharacterizationConfig {
+  /// Faults per micro-benchmark campaign, over all its value seeds (the
+  /// first faults_per_campaign % value_seeds seeds run one more).
   std::size_t faults_per_campaign = 1500;
   std::size_t value_seeds = 2;     ///< input values averaged per range
   std::size_t tmxm_faults = 2500;  ///< per (site, tile kind)
@@ -46,7 +48,7 @@ struct RtlCharacterizationConfig {
   /// The paper's published campaign scale (Sec. V-B).
   static RtlCharacterizationConfig paper_scale() {
     RtlCharacterizationConfig c;
-    c.faults_per_campaign = 12000 / 4;  // x4 value seeds = 12k per campaign
+    c.faults_per_campaign = 12000;  // 3000 per value seed
     c.value_seeds = 4;
     c.tmxm_faults = 12000;
     return c;

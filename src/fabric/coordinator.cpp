@@ -428,7 +428,7 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
   span.set("kind", serve::campaign_kind_name(spec.kind));
 
   // Shard plan. Adaptive sw campaigns (spec.plan) are inherently
-  // sequential — the Wilson planner sizes each round from the last — and
+  // sequential — the planner sizes each round from the last — and
   // cnn campaigns use their own internal loop; both run as ONE shard whose
   // payload is the public serialization, forwarded verbatim.
   const bool rtl_like = spec.kind == serve::CampaignKind::Rtl ||

@@ -38,8 +38,9 @@ namespace gpufi::fabric {
 /// numbering, or the shard-planning contract changes; the coordinator
 /// rejects a Hello carrying any other value (see Coordinator) so a stale
 /// worker binary fails fast with a clear error instead of corrupting a
-/// merge.
-inline constexpr std::uint32_t kFabricProtocolVersion = 2;
+/// merge. v3: a planned sw spec stops on the stratified PVF half-width, so a
+/// v2 worker would answer it under the old per-stratum stop rule.
+inline constexpr std::uint32_t kFabricProtocolVersion = 3;
 
 // ---------------------------------------------------------------------------
 // Control messages.

@@ -223,9 +223,9 @@ std::string serialize_campaign_result(const CampaignSpec& spec,
 /// Software campaign counters.
 std::string serialize_sw_result(const swfi::Result& r);
 
-/// Planned software campaign: the fixed-campaign counters plus the planner's
-/// stratified estimate and one line per stratum (opcode, range, candidates,
-/// budget, trials, outcome tallies, stop reason, Wilson half-width).
+/// Planned software campaign: the fixed-campaign counters, the stratified
+/// PVF with its half-width, and one line per stratum (opcode, range,
+/// candidates, budget share, trials, outcomes, stop, Wilson half-width).
 std::string serialize_planned_sw_result(const swfi::PlanResult& r);
 
 /// CNN campaign counters (criticality split included).

@@ -54,9 +54,9 @@ struct ServerStats {
   std::size_t queued = 0;     ///< jobs waiting in the queue
   std::size_t queue_capacity = 0;
   std::size_t workers = 0;
-  /// Strata the campaign planner stopped early (Wilson interval converged
-  /// before the trial budget ran out) over the daemon's lifetime — read from
-  /// the gpufi_swfi_planner_early_stops_total counter.
+  /// Strata of planned campaigns whose PVF half-width reached target_err
+  /// before the trial budget ran out, over the daemon's lifetime — read
+  /// from the gpufi_swfi_planner_early_stops_total counter.
   std::size_t planner_early_stops = 0;
   CacheStats db_cache;
   CacheStats golden_cache;

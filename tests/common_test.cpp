@@ -237,6 +237,35 @@ TEST(Stats, PearsonCorrelation) {
 
 // ----------------------------------------------------------------- powerlaw
 
+TEST(Stats, WilsonIntervalCoversExactly) {
+  // Exact coverage P(lo(X) <= p <= hi(X)) with X ~ Binomial(n, p), summed
+  // over every x (no Monte-Carlo error). Averaged over p the 95% Wilson
+  // interval is nominal (0.9506-0.9535 here); pointwise it oscillates, down
+  // to 0.920 on p in [0.1, 0.9]. Its known dips right next to p = 0 and 1
+  // (0.85 at n = 32, p = 0.005) fall outside the pointwise range checked.
+  for (const std::uint64_t n : {16u, 32u, 64u, 128u, 256u}) {
+    std::vector<stats::Interval> iv(n + 1);
+    for (std::uint64_t x = 0; x <= n; ++x) iv[x] = stats::wilson_interval(x, n);
+    const double nn = static_cast<double>(n);
+    double sum = 0.0, min_mid = 1.0;
+    for (int k = 1; k <= 999; ++k) {
+      const double p = k / 1000.0;
+      double cov = 0.0;
+      for (std::uint64_t x = 0; x <= n; ++x) {
+        if (p < iv[x].lo || p > iv[x].hi) continue;
+        const double xx = static_cast<double>(x);
+        cov += std::exp(std::lgamma(nn + 1) - std::lgamma(xx + 1) -
+                        std::lgamma(nn - xx + 1) + xx * std::log(p) +
+                        (nn - xx) * std::log1p(-p));
+      }
+      sum += cov;
+      if (k >= 100 && k <= 900) min_mid = std::min(min_mid, cov);
+    }
+    EXPECT_GE(sum / 999, 0.948) << "n=" << n;
+    EXPECT_GE(min_mid, 0.915) << "n=" << n;
+  }
+}
+
 TEST(PowerLaw, SampleRespectsLowerBound) {
   Rng rng(21);
   PowerLaw pl{2.2, 0.01, 0, 0};

@@ -9,6 +9,7 @@
 #include "core/gpufi.hpp"
 #include "emu/device.hpp"
 #include "isa/isa.hpp"
+#include "obs/metrics.hpp"
 
 namespace gpufi::core {
 namespace {
@@ -50,6 +51,23 @@ TEST_F(CoreFacade, BuildDatabaseCoversTheFullGrid) {
   EXPECT_GT(db.tmxm(rtl::Module::Scheduler).total() +
                 db.tmxm(rtl::Module::PipelineRegs).total(),
             0u);
+}
+
+TEST_F(CoreFacade, BuildDatabaseRunsEveryRequestedFault) {
+  // faults_per_campaign is a micro campaign's total over its value seeds:
+  // 10 faults over 4 seeds run 3 + 3 + 2 + 2, not 4 x (10 / 4).
+  if (!obs::kCompiledIn) GTEST_SKIP() << "counts trials through obs";
+  auto cfg = tiny_cfg();
+  cfg.faults_per_campaign = 10;
+  cfg.value_seeds = 4;
+  cfg.tmxm_faults = 4;
+  obs::set_enabled(true);
+  const auto& reg = obs::Registry::global();
+  const auto before = reg.counter_value("gpufi_exec_trials_total");
+  build_syndrome_database(cfg);
+  // 102 micro campaigns plus 2 sites x 3 tile kinds of t-MxM campaigns.
+  EXPECT_EQ(reg.counter_value("gpufi_exec_trials_total") - before,
+            102u * 10 + 6u * 4);
 }
 
 TEST_F(CoreFacade, BuildDatabaseMultiModelGridAppendsModelBlocks) {

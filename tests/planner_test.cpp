@@ -1,10 +1,15 @@
 // Campaign-planner contract: fixed mode is the legacy campaign verbatim,
-// adaptive mode is deterministic (seed- and jobs-invariant), the Wilson stop
-// rule is honored per stratum, and the shared --plan vocabulary parses
-// strictly.
+// adaptive mode is deterministic (seed- and jobs-invariant), stops on the
+// stratified PVF half-width, estimates the same PVF a uniform campaign does,
+// and its sequentially stopped interval keeps 95% coverage; the shared --plan
+// vocabulary parses strictly.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "apps/apps.hpp"
 #include "swfi/planner.hpp"
@@ -68,12 +73,13 @@ TEST(Planner, AdaptiveStratifiesAndStops) {
     cand_sum += s.candidates;
     trials_sum += s.trials;
     budget_sum += s.budget;
-    EXPECT_LE(s.trials, s.budget);
+    EXPECT_GE(s.trials, 1u);  // the pilot samples every stratum
     EXPECT_EQ(s.trials, s.masked + s.sdc + s.due);
-    if (s.stop == StratumStop::Converged) {
-      EXPECT_GE(s.trials, plan.min_trials);
-      EXPECT_LE(s.sdc_half_width, plan.target_err);
-    }
+    EXPECT_EQ(s.stop, pr.strata.front().stop);  // the campaign's stop
+  }
+  EXPECT_LE(trials_sum, cfg.n_injections);
+  if (pr.strata.front().stop == StratumStop::Converged) {
+    EXPECT_LE(pr.pvf_half_width, plan.target_err);
   }
   EXPECT_EQ(cand_sum, pr.result.candidate_instructions);
   EXPECT_EQ(trials_sum, pr.result.injections);
@@ -128,6 +134,89 @@ TEST(Planner, MaxTrialsCapsStrata) {
     EXPECT_LE(s.budget, plan.max_trials);
     EXPECT_LE(s.trials, plan.max_trials);
   }
+}
+
+TEST(Planner, PlannedPvfMatchesUniformCampaign) {
+  // The stratified estimate weights each stratum by its candidate share, so
+  // it estimates the same PVF as a campaign drawing uniformly over the whole
+  // candidate stream: the two intervals must overlap.
+  const auto app = apps::make_mxm(8);
+  Config cfg = small_campaign(4);
+  cfg.n_injections = 2000;
+  const auto fixed = run_planned_campaign(app.app, cfg, Plan{});
+  Plan plan;
+  plan.target_err = 0.05;
+  const auto planned = run_planned_campaign(app.app, cfg, plan);
+  EXPECT_EQ(planned.strata.front().stop, StratumStop::Converged);
+  EXPECT_LT(planned.result.injections, fixed.result.injections);
+  EXPECT_LE(std::abs(planned.pvf - fixed.pvf),
+            planned.pvf_half_width + fixed.pvf_half_width)
+      << "planned " << planned.pvf << " vs fixed " << fixed.pvf;
+}
+
+// Sampler core on synthetic Bernoulli strata of known SDC rates: the
+// sequentially stopped half-width must cover the true PVF sum(w_s * p_s) in
+// >= 95% of campaigns, within three Monte-Carlo standard errors. The exact
+// single-stratum coverage of this rule is 0.9496 at p = 0.5, i.e. nominal,
+// so the tolerance is sampling error, not slack in the rule.
+struct Scenario {
+  std::string name;
+  std::vector<double> weights;  // normalized by coverage()
+  std::vector<double> p;
+};
+
+double coverage(const Scenario& sc, int reps, std::uint64_t seed) {
+  std::vector<double> w = sc.weights;
+  const double total = std::accumulate(w.begin(), w.end(), 0.0);
+  double truth = 0.0;
+  for (std::size_t s = 0; s < w.size(); ++s) {
+    w[s] /= total;
+    truth += w[s] * sc.p[s];
+  }
+  Plan plan;
+  plan.target_err = 0.08;
+  plan.min_trials = 32;
+  Rng rng(seed);
+  int covered = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto sample = detail::sample_strata(
+        w, plan, /*budget=*/400,
+        [&](std::size_t, const std::vector<std::size_t>& alloc) {
+          std::vector<Result> got(alloc.size());
+          for (std::size_t s = 0; s < alloc.size(); ++s)
+            for (std::size_t i = 0; i < alloc[s]; ++i) {
+              ++got[s].injections;
+              ++(rng.chance(sc.p[s]) ? got[s].sdc : got[s].masked);
+            }
+          return got;
+        });
+    covered += std::abs(sample.pvf - truth) <= sample.half_width;
+  }
+  return static_cast<double>(covered) / reps;
+}
+
+TEST(PlannerSampler, SequentialIntervalKeepsCoverage) {
+  constexpr int kReps = 4000;
+  const double floor = 0.95 - 3.0 * std::sqrt(0.95 * 0.05 / kReps);
+  std::vector<Scenario> scenarios;
+  for (const double p : {0.005, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7,
+                         0.85, 0.9, 0.95, 0.98, 0.995})
+    scenarios.push_back({"one stratum p=" + std::to_string(p), {1.0}, {p}});
+  scenarios.push_back({"8 strata p=0.12", std::vector<double>(8, 1.0),
+                       std::vector<double>(8, 0.12)});
+  scenarios.push_back({"8 strata p=0.88", std::vector<double>(8, 1.0),
+                       std::vector<double>(8, 0.88)});
+  scenarios.push_back({"12 strata p=0.03", std::vector<double>(12, 1.0),
+                       std::vector<double>(12, 0.03)});
+  scenarios.push_back(
+      {"tiny strata", {0.97, 0.01, 0.01, 0.01}, {0.1, 1.0, 0.0, 0.5}});
+  // mxm bitflip's strata: candidate counts and SDC rates of a ledger run.
+  scenarios.push_back({"mxm bitflip",
+                       {4096, 5136, 4848, 256, 7168, 1024, 768, 4608},
+                       {0.97, 0.76, 0.32, 0.22, 0.46, 1.0, 1.0, 1.0}});
+  for (std::size_t i = 0; i < scenarios.size(); ++i)
+    EXPECT_GE(coverage(scenarios[i], kReps, 1000 + i), floor)
+        << scenarios[i].name;
 }
 
 TEST(PlanVocab, ParsesFullSpec) {
