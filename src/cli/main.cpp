@@ -24,17 +24,15 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
+#include "common/kv.hpp"
 #include "core/gpufi.hpp"
 #include "fabric/transport.hpp"
 #include "fabric/worker.hpp"
@@ -128,16 +126,6 @@ int usage_error(const std::string& what) {
   return usage();
 }
 
-bool parse_u64_strict(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  out = v;
-  return true;
-}
-
 /// Pre-flight check for output paths (--trace-out, report --out): the
 /// parent directory must exist and be writable, caught at option-parse time
 /// so a doomed long campaign fails before its first trial.
@@ -160,19 +148,6 @@ void write_file_atomic(const std::string& path, const std::string& content) {
     if (!f) throw std::runtime_error("failed writing " + tmp);
   }
   std::filesystem::rename(tmp, path);
-}
-
-bool parse_int_strict(const std::string& s, int& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max())
-    return false;
-  out = static_cast<int>(v);
-  return true;
 }
 
 /// Pulls "--name value" pairs out of argv. Strict: an unknown flag, a flag
@@ -237,15 +212,11 @@ struct Options {
         usage_error(what);
         return false;
       };
-      // Parses `val` into an unsigned field; a value the field cannot hold
-      // is a usage error, never a truncation.
+      // Parses `val` into a numeric field in the shared number grammar; a
+      // value the field cannot hold is a usage error, never a truncation.
       const auto number = [&](auto& dst) {
-        using Field = std::remove_reference_t<decltype(dst)>;
-        std::uint64_t n = 0;
-        if (!parse_u64_strict(val, n) || n > std::numeric_limits<Field>::max())
-          return fail("option " + key + " expects a number, got '" + val + "'");
-        dst = static_cast<Field>(n);
-        return true;
+        return kv::parse_number(val, dst) ||
+               fail("option " + key + " expects a number, got '" + val + "'");
       };
       const auto endpoint = [&](std::string& dst) {
         dst = val;
@@ -285,8 +256,7 @@ struct Options {
       } else if (key == "--deadline") {
         ok = number(spec.deadline_ms);
       } else if (key == "--priority") {
-        ok = parse_int_strict(val, spec.priority) ||
-             fail("option --priority expects an integer, got '" + val + "'");
+        ok = number(spec.priority);
       } else if (key == "--db") {
         spec.db_path = val;
       } else if (key == "--models") {

@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/kv.hpp"
+
 namespace gpufi {
 
 struct ThreadPool::Impl {
@@ -113,8 +115,8 @@ void ThreadPool::run(std::size_t n,
 
 unsigned ThreadPool::default_jobs() {
   if (const char* env = std::getenv("GPUFI_JOBS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+    const auto v = kv::parse_number<unsigned>(env);
+    if (v && *v > 0) return *v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -7,6 +7,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -36,16 +37,18 @@ Worker::Worker(WorkerConfig cfg) : cfg_(std::move(cfg)) {
 Worker::~Worker() { stop(); }
 
 void Worker::start() {
-  fd_ = connect_endpoint(cfg_.coordinator);
-  if (fd_ < 0)
-    throw std::runtime_error("cannot connect to coordinator at " +
-                             cfg_.coordinator.describe());
   Hello hello;
   hello.version = cfg_.protocol_version;
   hello.name = cfg_.name;
   hello.pid = static_cast<std::uint64_t>(::getpid());
+  // Encoded before connecting: a name with a newline throws here.
+  std::string hello_payload = encode_hello(hello);
+  fd_ = connect_endpoint(cfg_.coordinator);
+  if (fd_ < 0)
+    throw std::runtime_error("cannot connect to coordinator at " +
+                             cfg_.coordinator.describe());
   if (!serve::write_frame(
-          fd_, {serve::FrameType::Hello, encode_hello(hello)})) {
+          fd_, {serve::FrameType::Hello, std::move(hello_payload)})) {
     ::close(fd_);
     fd_ = -1;
     throw std::runtime_error("coordinator closed during handshake");

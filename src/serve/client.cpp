@@ -1,39 +1,19 @@
 #include "serve/client.hpp"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
-namespace gpufi::serve {
+#include "fabric/transport.hpp"
 
-int connect_socket(const std::string& socket_path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    errno = ENAMETOOLONG;
-    return -1;
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
-      0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    return -1;
-  }
-  return fd;
-}
+namespace gpufi::serve {
 
 SubmitOutcome submit_campaign(
     const std::string& socket_path, const CampaignSpec& spec,
     const std::function<void(const exec::Progress&)>& on_progress) {
   SubmitOutcome out;
-  const int fd = connect_socket(socket_path);
+  const int fd = fabric::connect_endpoint({.path = socket_path});
   if (fd < 0) {
     out.error = "connect(" + socket_path + "): " + std::strerror(errno);
     return out;
@@ -79,7 +59,7 @@ std::optional<ServerStats> query_stats(const std::string& socket_path,
     if (error) *error = std::move(msg);
     return std::nullopt;
   };
-  const int fd = connect_socket(socket_path);
+  const int fd = fabric::connect_endpoint({.path = socket_path});
   if (fd < 0)
     return fail("connect(" + socket_path + "): " + std::strerror(errno));
   if (!write_frame(fd, {FrameType::Status, ""})) {
@@ -103,7 +83,7 @@ std::optional<std::string> query_metrics(const std::string& socket_path,
     if (error) *error = std::move(msg);
     return std::nullopt;
   };
-  const int fd = connect_socket(socket_path);
+  const int fd = fabric::connect_endpoint({.path = socket_path});
   if (fd < 0)
     return fail("connect(" + socket_path + "): " + std::strerror(errno));
   if (!write_frame(fd, {FrameType::MetricsRequest, ""})) {
@@ -128,7 +108,7 @@ std::optional<std::string> query_report(
     if (error) *error = std::move(msg);
     return std::nullopt;
   };
-  const int fd = connect_socket(socket_path);
+  const int fd = fabric::connect_endpoint({.path = socket_path});
   if (fd < 0)
     return fail("connect(" + socket_path + "): " + std::strerror(errno));
   if (!write_frame(fd, {FrameType::ReportRequest, encode_spec(spec)})) {

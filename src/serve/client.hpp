@@ -14,10 +14,6 @@
 
 namespace gpufi::serve {
 
-/// Connects to the daemon's Unix-domain socket. Returns -1 (with errno set)
-/// on failure; the caller owns the fd.
-int connect_socket(const std::string& socket_path);
-
 struct SubmitOutcome {
   bool ok = false;           ///< a Result frame arrived
   std::string error;         ///< Error-frame payload or transport failure

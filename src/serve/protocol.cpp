@@ -4,16 +4,15 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <cstring>
-#include <iomanip>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
 
+#include "common/kv.hpp"
 #include "syndrome/syndrome.hpp"
 
 namespace gpufi::serve {
+
+using kv::put_kv;
 
 namespace {
 
@@ -29,84 +28,6 @@ std::uint32_t get_u32_le(const char* p) {
     return static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]));
   };
   return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
-}
-
-/// Appends one "key=value\n" line; values must be newline-free.
-void put_kv(std::string& out, std::string_view key, std::string_view value) {
-  if (value.find('\n') != std::string_view::npos)
-    throw std::invalid_argument("newline in protocol value for key '" +
-                                std::string(key) + "'");
-  out.append(key);
-  out.push_back('=');
-  out.append(value);
-  out.push_back('\n');
-}
-
-void put_kv(std::string& out, std::string_view key, std::uint64_t value) {
-  put_kv(out, key, std::to_string(value));
-}
-
-/// Lossless double formatting (round-trips bit-exactly through strtod).
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string buf(s);
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  if (!buf.empty() && buf[0] == '-') return false;
-  out = v;
-  return true;
-}
-
-bool parse_i64(std::string_view s, std::int64_t& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string buf(s);
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string buf(s);
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  out = v;
-  return true;
-}
-
-/// Iterates "key=value\n" lines; returns false (with `error`) on a malformed
-/// line or when `fn` rejects a key/value pair.
-bool for_each_kv(std::string_view payload, std::string* error,
-                 const std::function<bool(std::string_view, std::string_view,
-                                          std::string*)>& fn) {
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    std::size_t eol = payload.find('\n', pos);
-    if (eol == std::string_view::npos) eol = payload.size();
-    const std::string_view line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      if (error) *error = "malformed line (no '='): " + std::string(line);
-      return false;
-    }
-    if (!fn(line.substr(0, eq), line.substr(eq + 1), error)) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -248,23 +169,18 @@ std::string encode_spec(const CampaignSpec& spec) {
 std::optional<CampaignSpec> decode_spec(std::string_view payload,
                                         std::string* error) {
   CampaignSpec spec;
-  const bool ok = for_each_kv(
-      payload, error,
-      [&](std::string_view key, std::string_view value, std::string* err) {
-        const auto fail = [&](const std::string& msg) {
-          if (err) *err = msg;
-          return false;
-        };
-        // Any unsigned field; a value the field cannot hold is an error,
+  const auto fail = [&](const std::string& msg) {
+    if (error) *error = msg;
+    return false;
+  };
+  const bool ok = kv::for_each_kv(
+      payload, error, [&](std::string_view key, std::string_view value) {
+        // Any numeric field; a value the field cannot hold is an error,
         // never a truncation.
         const auto number = [&](auto& dst) {
-          using Field = std::remove_reference_t<decltype(dst)>;
-          std::uint64_t v = 0;
-          if (!parse_u64(value, v) || v > std::numeric_limits<Field>::max())
-            return fail("bad number for '" + std::string(key) +
-                        "': " + std::string(value));
-          dst = static_cast<Field>(v);
-          return true;
+          return kv::parse_number(value, dst) ||
+                 fail("bad number for '" + std::string(key) +
+                      "': " + std::string(value));
         };
         if (key == "kind") {
           const auto k = parse_campaign_kind(value);
@@ -289,14 +205,7 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
         if (key == "seed") return number(spec.seed);
         if (key == "jobs") return number(spec.jobs);
         if (key == "workers") return number(spec.workers);
-        if (key == "priority") {
-          std::int64_t v;
-          if (!parse_i64(value, v) || v < std::numeric_limits<int>::min() ||
-              v > std::numeric_limits<int>::max())
-            return fail("bad number for 'priority': " + std::string(value));
-          spec.priority = static_cast<int>(v);
-          return true;
-        }
+        if (key == "priority") return number(spec.priority);
         if (key == "deadline_ms") return number(spec.deadline_ms);
         if (key == "progress_interval") return number(spec.progress_interval);
         if (key == "plan") { spec.plan = value; return true; }
@@ -355,31 +264,20 @@ std::string encode_progress(const exec::Progress& p) {
   std::string out;
   put_kv(out, "done", p.done);
   put_kv(out, "total", p.total);
-  put_kv(out, "per_second", fmt_double(p.per_second));
-  put_kv(out, "eta_seconds", fmt_double(p.eta_seconds));
+  put_kv(out, "per_second", kv::format_double(p.per_second));
+  put_kv(out, "eta_seconds", kv::format_double(p.eta_seconds));
   return out;
 }
 
 std::optional<exec::Progress> decode_progress(std::string_view payload) {
   exec::Progress p;
-  const bool ok = for_each_kv(
-      payload, nullptr,
-      [&](std::string_view key, std::string_view value, std::string*) {
-        std::uint64_t u = 0;
-        double d = 0.0;
-        if (key == "done" && parse_u64(value, u)) { p.done = u; return true; }
-        if (key == "total" && parse_u64(value, u)) {
-          p.total = u;
-          return true;
-        }
-        if (key == "per_second" && parse_double(value, d)) {
-          p.per_second = d;
-          return true;
-        }
-        if (key == "eta_seconds" && parse_double(value, d)) {
-          p.eta_seconds = d;
-          return true;
-        }
+  const bool ok = kv::for_each_kv(
+      payload, nullptr, [&](std::string_view key, std::string_view value) {
+        if (key == "done") return kv::parse_number(value, p.done);
+        if (key == "total") return kv::parse_number(value, p.total);
+        if (key == "per_second") return kv::parse_number(value, p.per_second);
+        if (key == "eta_seconds")
+          return kv::parse_number(value, p.eta_seconds);
         return false;
       });
   if (!ok) return std::nullopt;
@@ -461,7 +359,7 @@ std::string serialize_campaign_result(const CampaignSpec& spec,
       dl += ' ';
       dl += std::to_string(d.faulty);
       dl += ' ';
-      dl += fmt_double(d.rel_error);
+      dl += kv::format_double(d.rel_error);
       dl += ' ';
       dl += std::to_string(d.bits_flipped);
       put_kv(out, "diff", dl);
@@ -545,8 +443,8 @@ std::string serialize_planned_sw_result(const swfi::PlanResult& r) {
   put_kv(out, "adaptive", std::uint64_t{r.adaptive ? 1u : 0u});
   put_kv(out, "planned_trials", r.planned_trials);
   put_kv(out, "trials_saved", r.trials_saved);
-  put_kv(out, "pvf", fmt_double(r.pvf));
-  put_kv(out, "pvf_half_width", fmt_double(r.pvf_half_width));
+  put_kv(out, "pvf", kv::format_double(r.pvf));
+  put_kv(out, "pvf_half_width", kv::format_double(r.pvf_half_width));
   put_kv(out, "strata", r.strata.size());
   for (const auto& s : r.strata) {
     std::string sl;
@@ -568,7 +466,7 @@ std::string serialize_planned_sw_result(const swfi::PlanResult& r) {
     sl += ' ';
     sl += swfi::stratum_stop_name(s.stop);
     sl += ' ';
-    sl += fmt_double(s.sdc_half_width);
+    sl += kv::format_double(s.sdc_half_width);
     put_kv(out, "stratum", sl);
   }
   return out;

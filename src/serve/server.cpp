@@ -1,20 +1,18 @@
 #include "serve/server.hpp"
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/kv.hpp"
 #include "core/gpufi.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/transport.hpp"
@@ -232,75 +230,65 @@ std::string run_report_offline(const CampaignSpec& spec) {
 // Stats payload.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The stats payload: each key names its ServerStats field once.
+/// encode_stats writes them in this order; decode_stats reads them in any.
+struct StatsField {
+  std::string_view key;
+  std::size_t& (*field)(ServerStats&);
+};
+
+constexpr StatsField kStatsFields[] = {
+    {"accepted", [](ServerStats& s) -> auto& { return s.accepted; }},
+    {"completed", [](ServerStats& s) -> auto& { return s.completed; }},
+    {"failed", [](ServerStats& s) -> auto& { return s.failed; }},
+    {"cancelled", [](ServerStats& s) -> auto& { return s.cancelled; }},
+    {"rejected", [](ServerStats& s) -> auto& { return s.rejected; }},
+    {"active", [](ServerStats& s) -> auto& { return s.active; }},
+    {"queued", [](ServerStats& s) -> auto& { return s.queued; }},
+    {"queue_capacity",
+     [](ServerStats& s) -> auto& { return s.queue_capacity; }},
+    {"workers", [](ServerStats& s) -> auto& { return s.workers; }},
+    {"planner_early_stops",
+     [](ServerStats& s) -> auto& { return s.planner_early_stops; }},
+    {"db_cache_hits", [](ServerStats& s) -> auto& { return s.db_cache.hits; }},
+    {"db_cache_misses",
+     [](ServerStats& s) -> auto& { return s.db_cache.misses; }},
+    {"golden_cache_hits",
+     [](ServerStats& s) -> auto& { return s.golden_cache.hits; }},
+    {"golden_cache_misses",
+     [](ServerStats& s) -> auto& { return s.golden_cache.misses; }},
+    {"fabric_workers_registered",
+     [](ServerStats& s) -> auto& { return s.fabric_workers_registered; }},
+    {"fabric_workers_alive",
+     [](ServerStats& s) -> auto& { return s.fabric_workers_alive; }},
+    {"fabric_shards_inflight",
+     [](ServerStats& s) -> auto& { return s.fabric_shards_inflight; }},
+    {"fabric_shards_retried",
+     [](ServerStats& s) -> auto& { return s.fabric_shards_retried; }},
+    {"fabric_shards_completed",
+     [](ServerStats& s) -> auto& { return s.fabric_shards_completed; }},
+};
+
+}  // namespace
+
 std::string encode_stats(const ServerStats& s) {
+  ServerStats copy = s;
   std::string out;
-  const auto kv = [&](const char* k, std::size_t v) {
-    out += k;
-    out += '=';
-    out += std::to_string(v);
-    out += '\n';
-  };
-  kv("accepted", s.accepted);
-  kv("completed", s.completed);
-  kv("failed", s.failed);
-  kv("cancelled", s.cancelled);
-  kv("rejected", s.rejected);
-  kv("active", s.active);
-  kv("queued", s.queued);
-  kv("queue_capacity", s.queue_capacity);
-  kv("workers", s.workers);
-  kv("planner_early_stops", s.planner_early_stops);
-  kv("db_cache_hits", s.db_cache.hits);
-  kv("db_cache_misses", s.db_cache.misses);
-  kv("golden_cache_hits", s.golden_cache.hits);
-  kv("golden_cache_misses", s.golden_cache.misses);
-  kv("fabric_workers_registered", s.fabric_workers_registered);
-  kv("fabric_workers_alive", s.fabric_workers_alive);
-  kv("fabric_shards_inflight", s.fabric_shards_inflight);
-  kv("fabric_shards_retried", s.fabric_shards_retried);
-  kv("fabric_shards_completed", s.fabric_shards_completed);
+  for (const auto& f : kStatsFields) kv::put_kv(out, f.key, f.field(copy));
   return out;
 }
 
 std::optional<ServerStats> decode_stats(std::string_view payload) {
   ServerStats s;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    std::size_t eol = payload.find('\n', pos);
-    if (eol == std::string_view::npos) eol = payload.size();
-    const std::string_view line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = line.substr(0, eq);
-    errno = 0;
-    char* end = nullptr;
-    const std::string value(line.substr(eq + 1));
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (errno != 0 || end != value.c_str() + value.size())
-      return std::nullopt;
-    if (key == "accepted") s.accepted = v;
-    else if (key == "completed") s.completed = v;
-    else if (key == "failed") s.failed = v;
-    else if (key == "cancelled") s.cancelled = v;
-    else if (key == "rejected") s.rejected = v;
-    else if (key == "active") s.active = v;
-    else if (key == "queued") s.queued = v;
-    else if (key == "queue_capacity") s.queue_capacity = v;
-    else if (key == "workers") s.workers = v;
-    else if (key == "planner_early_stops") s.planner_early_stops = v;
-    else if (key == "db_cache_hits") s.db_cache.hits = v;
-    else if (key == "db_cache_misses") s.db_cache.misses = v;
-    else if (key == "golden_cache_hits") s.golden_cache.hits = v;
-    else if (key == "golden_cache_misses") s.golden_cache.misses = v;
-    else if (key == "fabric_workers_registered") s.fabric_workers_registered = v;
-    else if (key == "fabric_workers_alive") s.fabric_workers_alive = v;
-    else if (key == "fabric_shards_inflight") s.fabric_shards_inflight = v;
-    else if (key == "fabric_shards_retried") s.fabric_shards_retried = v;
-    else if (key == "fabric_shards_completed") s.fabric_shards_completed = v;
-    else return std::nullopt;
-  }
+  const bool ok = kv::for_each_kv(
+      payload, nullptr, [&](std::string_view key, std::string_view value) {
+        for (const auto& f : kStatsFields)
+          if (f.key == key) return kv::parse_number(value, f.field(s));
+        return false;
+      });
+  if (!ok) return std::nullopt;
   return s;
 }
 
@@ -613,27 +601,7 @@ void Server::start() {
   if (impl_->started) throw std::logic_error("server already started");
   const std::string& path = impl_->cfg.socket_path;
 
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    ::close(fd);
-    throw std::runtime_error("socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ::unlink(path.c_str());  // clear a stale socket from a previous run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("bind(" + path + "): " + err);
-  }
-  if (::listen(fd, 128) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    ::unlink(path.c_str());
-    throw std::runtime_error("listen(" + path + "): " + err);
-  }
+  const int fd = fabric::listen_endpoint({.path = path}, 128);
 
   if (!impl_->cfg.fabric_listen.empty()) {
     const auto ep = fabric::parse_endpoint(impl_->cfg.fabric_listen);

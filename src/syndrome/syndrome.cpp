@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <iomanip>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/kv.hpp"
 #include "common/statistics.hpp"
 #include "obs/metrics.hpp"
 
@@ -317,22 +316,25 @@ std::vector<Key> Database::keys() const {
 
 namespace {
 
+/// Samples use format_double's max_digits10 text, so they survive a save
+/// and load bit for bit.
 void save_dist(std::ostream& os, const Dist& d) {
   os << d.count() << ' ' << d.samples().size();
-  for (double s : d.samples()) os << ' ' << s;
+  for (double s : d.samples()) os << ' ' << kv::format_double(s);
   os << '\n';
 }
 
-Dist load_dist(std::istream& is) {
+/// One "count stored s_1 .. s_stored" line. `count` is re-derived from the
+/// samples, so only its grammar is checked.
+Dist load_dist(kv::Cursor& c) {
   Dist d;
-  std::size_t count = 0, stored = 0;
-  is >> count >> stored;
-  for (std::size_t i = 0; i < stored; ++i) {
-    double s;
-    is >> s;
-    d.add(s);
-  }
-  d.fit();
+  kv::Fields f{c.take_line(), &c};
+  f.next<std::size_t>();
+  const auto stored = f.next<std::size_t>();
+  if (stored > Dist::kMaxSamples) c.fail("sample count above kMaxSamples");
+  for (std::size_t i = 0; c.ok && i < stored; ++i) d.add(f.next<double>());
+  f.done();
+  if (c.ok) d.fit();
   return d;
 }
 
@@ -344,23 +346,20 @@ void save_tmxm(std::ostream& os, const TilePatternStats& s) {
   save_dist(os, s.elements);
 }
 
-TilePatternStats load_tmxm(std::istream& is) {
+TilePatternStats load_tmxm(kv::Cursor& c) {
   TilePatternStats s;
-  std::string tag;
-  is >> tag;
-  if (tag != "tmxm") throw std::runtime_error("syndrome db: bad tmxm tag");
-  for (auto& c : s.counts) is >> c;
-  s.record_max = load_dist(is);
-  s.elements = load_dist(is);
+  kv::Fields f{c.take_line(), &c};
+  if (c.ok && f.next_token() != "tmxm") c.fail("bad tmxm tag");
+  for (auto& n : s.counts) n = f.next<std::size_t>();
+  f.done();
+  s.record_max = load_dist(c);
+  s.elements = load_dist(c);
   return s;
 }
 
 }  // namespace
 
 void Database::save(std::ostream& os) const {
-  // max_digits10 makes the double<->text round trip lossless, so a loaded
-  // database samples exactly what the in-memory one did.
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "gpufi-syndrome-db " << kSchemaVersion << '\n';
   os << dists_.size() << '\n';
   for (const auto& [key, dist] : dists_) {
@@ -374,25 +373,38 @@ void Database::save(std::ostream& os) const {
 }
 
 Database Database::load(std::istream& is) {
-  Database db;
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  if (magic != "gpufi-syndrome-db")
+  std::ostringstream text;
+  text << is.rdbuf();
+  const std::string bytes = text.str();
+  kv::Cursor c{bytes};
+  kv::Fields header{c.take_line(), &c};
+  if (!c.ok || header.next_token() != "gpufi-syndrome-db")
     throw std::runtime_error("syndrome db: bad header");
+  const int version = header.next<int>();
+  header.done();
+  if (!c.ok) throw std::runtime_error("syndrome db: bad header");
   if (version != kSchemaVersion) throw SchemaMismatch(version, kSchemaVersion);
-  std::size_t n = 0;
-  is >> n;
-  for (std::size_t i = 0; i < n; ++i) {
-    int m, o, r, fm;
-    is >> m >> o >> r >> fm;
-    Key key{static_cast<rtl::Module>(m), static_cast<isa::Opcode>(o),
-            static_cast<rtlfi::InputRange>(r),
-            static_cast<rtl::FaultModel>(fm)};
-    db.dists_[key] = load_dist(is);
+
+  Database db;
+  kv::Fields count{c.take_line(), &c};
+  const auto n = count.next<std::size_t>();
+  count.done();
+  for (std::size_t i = 0; c.ok && i < n; ++i) {
+    kv::Fields f{c.take_line(), &c};
+    Key key;
+    key.module = f.next_enum<rtl::Module>(rtl::kNumModules);
+    key.op = f.next_enum<isa::Opcode>(isa::kNumOpcodes);
+    key.range = f.next_enum<rtlfi::InputRange>(rtlfi::kNumRanges);
+    key.model = f.next_enum<rtl::FaultModel>(rtl::kNumFaultModels);
+    f.done();
+    Dist d = load_dist(c);
+    if (c.ok && !db.dists_.emplace(key, std::move(d)).second)
+      c.fail("duplicate key");
   }
-  db.tmxm_scheduler_ = load_tmxm(is);
-  db.tmxm_pipeline_ = load_tmxm(is);
+  db.tmxm_scheduler_ = load_tmxm(c);
+  db.tmxm_pipeline_ = load_tmxm(c);
+  if (c.ok && !c.rest.empty()) c.fail("trailing bytes");
+  if (!c.ok) throw std::runtime_error("syndrome db: " + c.error);
   return db;
 }
 

@@ -1,7 +1,8 @@
 #include "vocab/vocab.hpp"
 
-#include <charconv>
 #include <stdexcept>
+
+#include "common/kv.hpp"
 
 namespace gpufi::vocab {
 
@@ -10,12 +11,6 @@ namespace {
 bool fail(std::string* error, std::string_view why) {
   if (error) *error = std::string(why);
   return false;
-}
-
-bool parse_double_token(std::string_view s, double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
 }
 
 }  // namespace
@@ -46,8 +41,8 @@ std::optional<swfi::Plan> parse_plan(std::string_view s, std::string* error) {
         return std::nullopt;
       }
       saw_target = true;
-      if (!parse_double_token(value, plan.target_err) ||
-          plan.target_err <= 0.0 || plan.target_err > 0.5) {
+      plan.target_err = kv::parse_number<double>(value).value_or(0.0);
+      if (!(plan.target_err > 0.0 && plan.target_err <= 0.5)) {
         fail(error, "plan: target_err must be a number in (0, 0.5]");
         return std::nullopt;
       }
@@ -160,14 +155,9 @@ std::optional<nn::CnnFaultModel> parse_cnn_model(std::string_view s) {
 }
 
 std::optional<std::size_t> parse_progress_interval(std::string_view s) {
-  if (s.empty() || s.size() > 18) return std::nullopt;  // 18 digits < 2^63
-  std::size_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (v == 0) return std::nullopt;
-  return v;
+  const auto v = kv::parse_number<std::int64_t>(s);
+  if (!v || *v <= 0) return std::nullopt;
+  return static_cast<std::size_t>(*v);
 }
 
 bool is_known_app(std::string_view s) {

@@ -44,10 +44,10 @@ std::optional<swfi::FaultModel> parse_sw_model(std::string_view s);
 /// CNN fault-model token: bitflip|syndrome|tmxm.
 std::optional<nn::CnnFaultModel> parse_cnn_model(std::string_view s);
 
-/// Progress-interval token: a positive decimal trial count ("1", "250").
-/// Rejects zero, signs, non-digits, leading '+', and overflow — shared by
-/// the CLI `--progress-interval` flag and the serve-spec codec so both
-/// layers accept exactly the same strings.
+/// Progress-interval token: a positive std::int64_t in the number grammar
+/// of common/kv.hpp ("1", "250"). Rejects zero, signs, non-digits and
+/// overflow — shared by the CLI `--progress-interval` flag and the
+/// serve-spec codec so both layers accept exactly the same strings.
 std::optional<std::size_t> parse_progress_interval(std::string_view s);
 
 /// Adaptive-plan token: "target_err=X[,min_trials=N][,max_trials=N]".

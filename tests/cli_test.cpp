@@ -116,6 +116,14 @@ const std::vector<Case>& cases() {
       // Numbers that do not fit their field are usage errors.
       {"rtl_jobs_overflow", 2, "usage.txt",
        {"rtl", "FFMA", "fp32", "--faults", "10", "--jobs", "4294967297"}},
+      // Signs and NaN are outside the number grammar, never wrapped or
+      // compared away.
+      {"rtl_negative_faults", 2, "usage.txt",
+       {"rtl", "FFMA", "fp32", "--faults", "-1"}},
+      {"sw_plus_injections", 2, "usage.txt",
+       {"sw", "mxm", "bitflip", "--injections", "+40"}},
+      {"sw_plan_nan", 2, "usage.txt",
+       {"sw", "mxm", "bitflip", "--plan", "target_err=nan"}},
   };
   return all;
 }

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/bitvector.hpp"
 #include "common/histogram.hpp"
+#include "common/kv.hpp"
 #include "common/powerlaw.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
@@ -392,6 +401,146 @@ TEST(TextTable, RejectsMisshapenRow) {
 TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::pct(0.12345, 1), "12.3%");
   EXPECT_EQ(TextTable::num(3.14159, 3), "3.14");
+}
+
+// ------------------------------------------------------------------ kv codec
+
+template <class T>
+struct Token {
+  const char* text;
+  std::optional<T> want;  ///< nullopt: rejected
+};
+
+template <class T>
+void expect_tokens(std::initializer_list<Token<T>> tokens) {
+  for (const auto& t : tokens)
+    EXPECT_EQ(kv::parse_number<T>(t.text), t.want) << '"' << t.text << '"';
+}
+
+/// Tokens outside the grammar at every type: signs where none belong,
+/// whitespace, base prefixes, trailing garbage, NaN and the empty token.
+template <class T>
+void expect_common_rejections() {
+  for (const char* bad : {"", " 5", "5 ", "\t5", "5\n", "+5", "+0", "--5",
+                          "-", "0x10", "12x", "1,5", "nan", "NaN", "inf",
+                          "-inf", "infinity"})
+    EXPECT_EQ(kv::parse_number<T>(bad), std::nullopt) << '"' << bad << '"';
+}
+
+TEST(KvNumber, UnsignedTypesTakeDigitsOnlyAndRejectOverflow) {
+  expect_common_rejections<std::uint64_t>();
+  expect_tokens<std::uint64_t>({{"0", 0},
+                                {"007", 7},
+                                {"18446744073709551615", UINT64_MAX},
+                                {"18446744073709551616", std::nullopt},
+                                {"99999999999999999999", std::nullopt},
+                                {"-1", std::nullopt},
+                                {"-0", std::nullopt},
+                                {"1e3", std::nullopt},
+                                {"1.0", std::nullopt}});
+  expect_common_rejections<unsigned>();
+  expect_tokens<unsigned>({{"4294967295", UINT32_MAX},
+                           {"4294967296", std::nullopt},
+                           {"-1", std::nullopt}});
+  expect_common_rejections<std::uint16_t>();
+  expect_tokens<std::uint16_t>({{"0", 0},
+                                {"65535", 65535},
+                                {"65536", std::nullopt},
+                                {"70000", std::nullopt}});
+}
+
+TEST(KvNumber, SignedTypesTakeOneLeadingMinus) {
+  expect_common_rejections<int>();
+  expect_tokens<int>({{"-1", -1},
+                      {"-0", 0},
+                      {"2147483647", INT32_MAX},
+                      {"-2147483648", INT32_MIN},
+                      {"2147483648", std::nullopt},
+                      {"-2147483649", std::nullopt},
+                      {"- 1", std::nullopt}});
+  expect_common_rejections<std::int64_t>();
+  expect_tokens<std::int64_t>({{"9223372036854775807", INT64_MAX},
+                               {"-9223372036854775808", INT64_MIN},
+                               {"9223372036854775808", std::nullopt},
+                               {"9999999999999999999", std::nullopt}});
+}
+
+TEST(KvNumber, DoublesMustBeFinite) {
+  expect_common_rejections<double>();
+  expect_tokens<double>({{"0.25", 0.25},
+                         {"-1.5", -1.5},
+                         {"1e3", 1000.0},
+                         {"1.7976931348623157e+308", DBL_MAX},
+                         {"1e309", std::nullopt},
+                         {"-1e309", std::nullopt},
+                         {"+1.5", std::nullopt},
+                         {"0x1p3", std::nullopt},
+                         {"1.5 ", std::nullopt}});
+}
+
+TEST(KvFormatDouble, MatchesStreamBytesAndRoundTripsBitForBit) {
+  // format_double must write what `os << setprecision(max_digits10)` wrote
+  // before it (the progress and result payloads are pinned byte for byte),
+  // and parse_number<double> must read it back exactly.
+  Rng rng(21);
+  std::vector<double> values = {0.0, -0.0, 1.0, 0.1, 1e-300, 5e-324,
+                                DBL_MAX, -DBL_MIN, 123.456789012345};
+  for (int i = 0; i < 20000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (const double v : values) {
+    std::ostringstream os;
+    os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
+    const std::string text = kv::format_double(v);
+    ASSERT_EQ(text, os.str());
+    const auto back = kv::parse_number<double>(text);
+    ASSERT_TRUE(back.has_value()) << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*back),
+              std::bit_cast<std::uint64_t>(v))
+        << text;
+  }
+}
+
+TEST(KvLines, WriterRejectsNewlinesAndReadersFailOnTruncation) {
+  std::string out;
+  kv::put_kv(out, "name", "w0");
+  kv::put_kv(out, "pid", std::uint64_t{42});
+  EXPECT_EQ(out, "name=w0\npid=42\n");
+  EXPECT_THROW(kv::put_kv(out, "name", "a\nforged=1"), std::invalid_argument);
+
+  kv::Cursor c{out};
+  EXPECT_EQ(c.take_kv("name"), "w0");
+  EXPECT_EQ(c.take<std::uint32_t>("pid"), 42u);
+  EXPECT_TRUE(c.ok && c.rest.empty());
+  kv::Cursor truncated{"name=w0\npid=4"};
+  truncated.take_kv("name");
+  truncated.take("pid");
+  EXPECT_FALSE(truncated.ok);
+
+  kv::Cursor line{"r=7 -3  x\n"};
+  kv::Fields f{line.take_kv("r"), &line};
+  EXPECT_EQ(f.next<unsigned>(), 7u);
+  EXPECT_EQ(f.next<int>(), -3);
+  EXPECT_EQ(f.next_token(), "x");
+  f.done();
+  EXPECT_TRUE(line.ok);
+  EXPECT_EQ(f.next(), 0u);  // past the end: fails through the cursor
+  EXPECT_FALSE(line.ok);
+
+  std::vector<std::string> seen;
+  EXPECT_TRUE(kv::for_each_kv("b=2\n\na=1", nullptr,
+                              [&](std::string_view k, std::string_view v) {
+                                seen.push_back(std::string(k) + std::string(v));
+                                return true;
+                              }));
+  EXPECT_EQ(seen, (std::vector<std::string>{"b2", "a1"}));
+  std::string error;
+  EXPECT_FALSE(kv::for_each_kv("a=1\nbogus\n", &error,
+                               [](std::string_view, std::string_view) {
+                                 return true;
+                               }));
+  EXPECT_NE(error.find("bogus"), std::string::npos);
 }
 
 }  // namespace

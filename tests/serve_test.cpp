@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "fabric/transport.hpp"
 #include "obs/metrics.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
@@ -56,7 +57,7 @@ CampaignSpec small_rtl_spec() {
 /// Submits `spec` on a raw connection without reading the reply (lets tests
 /// observe server state while the job is queued/running). Caller closes fd.
 int submit_raw(const std::string& socket_path, const CampaignSpec& spec) {
-  const int fd = connect_socket(socket_path);
+  const int fd = fabric::connect_endpoint({.path = socket_path});
   EXPECT_GE(fd, 0) << "connect(" << socket_path << ")";
   EXPECT_TRUE(write_frame(fd, {FrameType::Submit, encode_spec(spec)}));
   return fd;
@@ -243,6 +244,14 @@ TEST(Protocol, SpecDecodeIsStrict) {
   EXPECT_NE(error.find("kind=sw"), std::string::npos);
   EXPECT_TRUE(decode_spec("kind=sw\nplan=target_err=0.1\n", &error)
                   .has_value()) << error;
+  EXPECT_FALSE(decode_spec("kind=sw\nplan=target_err=nan\n", &error)
+                   .has_value());
+  // Signs and spaces are outside the number grammar: no wrap to 2^64-1,
+  // no silently skipped blank.
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults= -1\n", &error).has_value());
+  EXPECT_NE(error.find("faults"), std::string::npos);
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults=+5\n", &error).has_value());
+  EXPECT_FALSE(decode_spec("kind=rtl\nfaults= 5\n", &error).has_value());
   // Numbers that do not fit their field are rejected, never truncated.
   EXPECT_FALSE(decode_spec("kind=rtl\njobs=4294967296\nworkers=4294967298\n"
                            "priority=4294967297\n",
@@ -722,7 +731,7 @@ TEST(Serve, InvalidSpecGetsAnErrorFrame) {
   cfg.workers = 1;
   Server server(cfg);
   server.start();
-  const int fd = connect_socket(cfg.socket_path);
+  const int fd = fabric::connect_endpoint({.path = cfg.socket_path});
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(write_frame(fd, {FrameType::Submit, "kind=rtl\nop=NOSUCH\n"}));
   const Frame reply = read_final(fd);
@@ -805,7 +814,7 @@ TEST(Serve, GracefulDrainFinishesAdmittedJobs) {
   ::close(a);
   ::close(b);
   // The socket file is gone: a later bind can reuse the path.
-  EXPECT_LT(connect_socket(cfg.socket_path), 0);
+  EXPECT_LT(fabric::connect_endpoint({.path = cfg.socket_path}), 0);
 }
 
 TEST(Serve, ForcedShutdownCancelsActiveAndBouncesQueued) {
@@ -863,7 +872,7 @@ TEST(Serve, MalformedFirstFrameGetsAnErrorReply) {
   cfg.workers = 1;
   Server server(cfg);
   server.start();
-  const int fd = connect_socket(cfg.socket_path);
+  const int fd = fabric::connect_endpoint({.path = cfg.socket_path});
   ASSERT_GE(fd, 0);
   // A Progress frame is not a valid request.
   ASSERT_TRUE(write_frame(fd, {FrameType::Progress, "done=1\ntotal=2\n"}));

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/gpufi.hpp"
 #include "rtlfi/campaign.hpp"
@@ -183,6 +186,91 @@ TEST(Database, SerializationRoundTrip) {
 TEST(Database, LoadRejectsGarbage) {
   std::stringstream ss("not-a-db 7");
   EXPECT_THROW(Database::load(ss), std::runtime_error);
+}
+
+/// A database of a few hundred bytes: two keys and both t-MxM sites, built
+/// from synthetic SDC records.
+std::string small_db_text() {
+  rtlfi::CampaignResult r;
+  std::uint32_t index = 0;
+  for (const double e : {0.5, 1e-3, 2.25, 7e-6, 0.125, 3.0}) {
+    rtlfi::InjectionRecord rec;
+    rec.outcome = rtlfi::Outcome::Sdc;
+    rec.diffs.push_back({.index = index++, .rel_error = e});
+    r.records.push_back(rec);
+  }
+  Database db;
+  db.add_campaign(Key{Module::Fp32Fu, Opcode::FADD, InputRange::Medium}, r);
+  db.add_campaign(Key{Module::IntFu, Opcode::IADD, InputRange::Large,
+                      rtl::FaultModel::StuckAt1},
+                  r);
+  db.add_tmxm_campaign(Module::Scheduler, 8, 8, r);
+  db.add_tmxm_campaign(Module::PipelineRegs, 8, 8, r);
+  db.finalize();
+  std::ostringstream os;
+  db.save(os);
+  return os.str();
+}
+
+Database load_text(const std::string& text) {
+  std::istringstream is(text);
+  return Database::load(is);
+}
+
+std::string save_text(const Database& db) {
+  std::ostringstream os;
+  db.save(os);
+  return os.str();
+}
+
+TEST(Database, EveryStrictPrefixOfASavedDatabaseThrows) {
+  const std::string text = small_db_text();
+  EXPECT_EQ(save_text(load_text(text)), text);
+  for (std::size_t len = 0; len < text.size(); ++len)
+    EXPECT_THROW(load_text(text.substr(0, len)), std::runtime_error)
+        << "prefix length " << len;
+}
+
+TEST(Database, HugeCountsThrowInsteadOfReadingPastTheEnd) {
+  // A corrupt count once looped on a failed stream for as long as it said.
+  const std::string header = "gpufi-syndrome-db 2\n";
+  for (const std::string& text :
+       {header + "99999999999\n0 0 0 0\n",
+        header + "1\n0 0 0 0\n5 99999999999 0.5\n"}) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(load_text(text), std::runtime_error) << text;
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+  }
+}
+
+TEST(Database, LoadRejectsCorruptRecords) {
+  const std::string text = small_db_text();
+  // Module, opcode, range and fault model all out of their enums.
+  std::string bad_key = text;
+  bad_key.replace(bad_key.find("\n0 0 1 0\n"), 9, "\n77 200 9 9\n");
+  EXPECT_THROW(load_text(bad_key), std::runtime_error);
+  EXPECT_THROW(load_text(text + "x"), std::runtime_error);  // trailing bytes
+  EXPECT_THROW(load_text(text + "\n"), std::runtime_error);
+  // The same key twice (the header count still matches).
+  const auto first_key = text.find("\n0 0 1 0\n") + 1;
+  const auto second_key = text.find('\n', text.find('\n', first_key) + 1) + 1;
+  std::string dup = text.substr(0, second_key) +
+                    text.substr(first_key, second_key - first_key) +
+                    text.substr(text.find("tmxm"));
+  EXPECT_THROW(load_text(dup), std::runtime_error);
+  // A sample outside the number grammar.
+  std::string nan_sample = text;
+  nan_sample.replace(nan_sample.find("0.5"), 3, "nan");
+  EXPECT_THROW(load_text(nan_sample), std::runtime_error);
+}
+
+TEST(Database, CommittedDatabaseSavesBackByteForByte) {
+  std::ifstream f(GPUFI_TEST_DATA_DIR "/syndromes.db", std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  std::ostringstream bytes;
+  bytes << f.rdbuf();
+  EXPECT_EQ(save_text(load_text(bytes.str())), bytes.str());
 }
 
 TEST(Database, LoadRejectsWrongSchemaVersionWithSchemaMismatch) {
