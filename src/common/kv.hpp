@@ -69,7 +69,7 @@ bool for_each_kv(
 struct Cursor {
   std::string_view rest;
   bool ok = true;
-  std::string error;
+  std::string error{};
 
   void fail(std::string msg);
 

@@ -530,7 +530,7 @@ std::string Coordinator::merge_job(JobState& job) {
   // to the exact in-memory result the shards reassemble.
   if (job.spec.kind == serve::CampaignKind::Sw)
     return serve::serialize_sw_result(
-        merge_partials<swfi::Result>(job.partials, decode_sw_partial));
+        merge_partials<swfi::Result>(job.partials, serve::decode_sw_result));
   return serve::serialize_campaign_result(
       job.spec, merge_partials<rtlfi::CampaignResult>(job.partials,
                                                       decode_rtl_partial));

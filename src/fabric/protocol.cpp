@@ -345,83 +345,4 @@ std::optional<rtlfi::CampaignResult> decode_rtl_partial(
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// SW partial.
-// ---------------------------------------------------------------------------
-
-std::string encode_sw_partial(const swfi::Result& r) {
-  std::string out;
-  put_kv(out, "v", 1);
-  put_kv(out, "injections", r.injections);
-  put_kv(out, "masked", r.masked);
-  put_kv(out, "sdc", r.sdc);
-  put_kv(out, "due", r.due);
-  put_kv(out, "candidates", r.candidate_instructions);
-  out += "pc_counts=";
-  out += std::to_string(r.pc_exec_counts.size());
-  for (const auto n : r.pc_exec_counts) {
-    out += ' ';
-    out += std::to_string(n);
-  }
-  out += '\n';
-  put_kv(out, "sites", r.sites.size());
-  for (const auto& [key, counts] : r.sites) {
-    out += "s=";
-    out += std::to_string(key.first);
-    out += ' ';
-    out += std::to_string(static_cast<unsigned>(key.second));
-    out += ' ';
-    out += std::to_string(counts.hits);
-    out += ' ';
-    out += std::to_string(counts.masked);
-    out += ' ';
-    out += std::to_string(counts.sdc);
-    out += ' ';
-    out += std::to_string(counts.due);
-    out += '\n';
-  }
-  return out;
-}
-
-std::optional<swfi::Result> decode_sw_partial(std::string_view payload,
-                                              std::string* error) {
-  kv::Cursor c{payload};
-  swfi::Result r;
-  if (c.take("v") != 1) c.fail("unknown sw partial version");
-  r.injections = c.take("injections");
-  r.masked = c.take("masked");
-  r.sdc = c.take("sdc");
-  r.due = c.take("due");
-  r.candidate_instructions = c.take("candidates");
-  {
-    kv::Fields f{c.take_kv("pc_counts"), &c};
-    // No reserve(): the count is untrusted wire data, not a size to
-    // allocate; a short list fails on its first missing field.
-    const auto n = f.next();
-    for (std::uint64_t i = 0; c.ok && i < n; ++i)
-      r.pc_exec_counts.push_back(f.next());
-    f.done();
-  }
-  const auto n_sites = c.take("sites");
-  for (std::uint64_t i = 0; c.ok && i < n_sites; ++i) {
-    kv::Fields f{c.take_kv("s"), &c};
-    const auto pc = f.next<std::int32_t>();
-    const auto op = f.next_enum<isa::Opcode>(kNumOpcodes);
-    swfi::SwSiteCounts counts;
-    counts.hits = f.next();
-    counts.masked = f.next();
-    counts.sdc = f.next();
-    counts.due = f.next();
-    f.done();
-    if (c.ok && !r.sites.emplace(std::make_pair(pc, op), counts).second)
-      c.fail("duplicate sw site");
-  }
-  if (c.ok && !c.rest.empty()) c.fail("trailing sw partial bytes");
-  if (!c.ok) {
-    if (error) *error = c.error;
-    return std::nullopt;
-  }
-  return r;
-}
-
 }  // namespace gpufi::fabric

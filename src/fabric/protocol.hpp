@@ -10,17 +10,19 @@
 //  * Control messages (Hello, ShardRequest, ...) — deterministic
 //    "key=value\n" text like the rest of the serve protocol.
 //
-//  * Shard partials — the LOSSLESS serializations of rtlfi::CampaignResult
-//    and swfi::Result a worker ships back for a non-final shard. The
-//    public Result payload (serve::serialize_campaign_result) is lossy —
-//    it drops FaultSpec temporal fields and distills the syndrome DB from
-//    the in-memory result — so the coordinator cannot merge from it.
-//    These codecs round-trip every field bit for bit (doubles cross the
-//    wire as u64 bit patterns), letting the coordinator reassemble the
-//    exact in-memory result run_trials would have produced and THEN apply
-//    the same public serialization as the offline path. Enums are encoded
-//    numerically; the Hello version handshake guarantees both ends agree
-//    on the numbering.
+//  * Shard partials — what a worker ships back for a non-final shard. A sw
+//    shard ships the public sw result (serve::serialize_sw_result): its
+//    five counters are all of swfi::Result, so serve::decode_sw_result
+//    reads it back whole and the coordinator merges from it. An rtl or
+//    tmxm shard cannot: the public payload (serialize_campaign_result)
+//    drops FaultSpec temporal fields and distills the syndrome DB from the
+//    in-memory result. So rtl ships the LOSSLESS partial below, which
+//    round-trips every field of rtlfi::CampaignResult bit for bit (doubles
+//    cross the wire as u64 bit patterns). Either way the coordinator
+//    reassembles the exact in-memory result run_trials would have produced
+//    and THEN applies the same public serialization as the offline path.
+//    Enums are encoded numerically; the Hello version handshake guarantees
+//    both ends agree on the numbering.
 
 #include <cstdint>
 #include <optional>
@@ -29,7 +31,6 @@
 
 #include "rtlfi/campaign.hpp"
 #include "serve/protocol.hpp"
-#include "swfi/swfi.hpp"
 
 namespace gpufi::fabric {
 
@@ -39,8 +40,10 @@ namespace gpufi::fabric {
 /// rejects a Hello carrying any other value (see Coordinator) so a stale
 /// worker binary fails fast with a clear error instead of corrupting a
 /// merge. v3: a planned sw spec stops on the stratified PVF half-width, so a
-/// v2 worker would answer it under the old per-stratum stop rule.
-inline constexpr std::uint32_t kFabricProtocolVersion = 3;
+/// v2 worker would answer it under the old per-stratum stop rule. v4: a sw
+/// shard ships the public sw result instead of the old sw partial, which a
+/// v3 worker would still send.
+inline constexpr std::uint32_t kFabricProtocolVersion = 4;
 
 // ---------------------------------------------------------------------------
 // Control messages.
@@ -110,15 +113,11 @@ std::string encode_shard_progress(const ShardProgressMsg& m);
 std::optional<ShardProgressMsg> decode_shard_progress(std::string_view payload);
 
 // ---------------------------------------------------------------------------
-// Lossless shard partials.
+// Lossless rtl shard partial.
 // ---------------------------------------------------------------------------
 
 std::string encode_rtl_partial(const rtlfi::CampaignResult& r);
 std::optional<rtlfi::CampaignResult> decode_rtl_partial(
     std::string_view payload, std::string* error = nullptr);
-
-std::string encode_sw_partial(const swfi::Result& r);
-std::optional<swfi::Result> decode_sw_partial(std::string_view payload,
-                                              std::string* error = nullptr);
 
 }  // namespace gpufi::fabric

@@ -132,11 +132,12 @@ std::string Worker::execute(const ShardRequest& req) {
   // in-daemon run by construction.
   if (req.final_payload)
     return serve::run_spec(spec, caches_, progress, nullptr);
-  // Any other shard runs its trial range and ships the lossless partial the
-  // coordinator merges; caches_ is the per-worker golden and DB tier.
+  // Any other shard runs its trial range and ships the partial the
+  // coordinator merges: the public sw result, or the lossless rtl partial.
+  // caches_ is the per-worker golden and DB tier.
   const exec::TrialRange shard{req.trial_offset, req.trial_count};
   if (spec.kind == serve::CampaignKind::Sw)
-    return encode_sw_partial(
+    return serve::serialize_sw_result(
         serve::run_sw_spec(spec, caches_, progress, nullptr, shard));
   return encode_rtl_partial(
       serve::run_rtl_spec(spec, caches_, progress, nullptr, shard));

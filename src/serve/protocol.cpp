@@ -432,6 +432,24 @@ std::string serialize_sw_result(const swfi::Result& r) {
   return out;
 }
 
+std::optional<swfi::Result> decode_sw_result(std::string_view payload,
+                                             std::string* error) {
+  kv::Cursor c{payload};
+  swfi::Result r;
+  if (c.take_kv("kind") != "sw") c.fail("not a sw result");
+  r.injections = c.take<std::size_t>("injections");
+  r.masked = c.take<std::size_t>("masked");
+  r.sdc = c.take<std::size_t>("sdc");
+  r.due = c.take<std::size_t>("due");
+  r.candidate_instructions = c.take("candidates");
+  if (c.ok && !c.rest.empty()) c.fail("trailing sw result bytes");
+  if (!c.ok) {
+    if (error) *error = c.error;
+    return std::nullopt;
+  }
+  return r;
+}
+
 std::string serialize_planned_sw_result(const swfi::PlanResult& r) {
   std::string out;
   put_kv(out, "kind", "sw-planned");

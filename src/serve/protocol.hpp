@@ -220,8 +220,15 @@ std::optional<exec::Progress> decode_progress(std::string_view payload);
 std::string serialize_campaign_result(const CampaignSpec& spec,
                                       const rtlfi::CampaignResult& r);
 
-/// Software campaign counters.
+/// Software campaign counters: every field of swfi::Result, so the payload
+/// is also the fabric's sw shard partial.
 std::string serialize_sw_result(const swfi::Result& r);
+
+/// Strict parse of serialize_sw_result's bytes: its keys in its order, no
+/// trailing bytes. On failure returns nullopt and, when given, fills
+/// `error`.
+std::optional<swfi::Result> decode_sw_result(std::string_view payload,
+                                             std::string* error = nullptr);
 
 /// Planned software campaign: the fixed-campaign counters, the stratified
 /// PVF with its half-width, and one line per stratum (opcode, range,

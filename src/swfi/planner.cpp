@@ -171,7 +171,6 @@ PlanResult detail::run_planned_campaign(const App& app, const Config& cfg,
   PlanResult pr;
   pr.adaptive = true;
   pr.result.candidate_instructions = candidates;
-  pr.result.pc_exec_counts = golden.pc_exec_counts;
 
   // Stratum weights are candidate shares; each stratum's budget is its
   // proportional share of cfg.n_injections, capped at max_trials.

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/statistics.hpp"
-#include "emu/profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rtlfi/microbench.hpp"
@@ -215,27 +214,16 @@ void Result::merge(const Result& other) {
   due += other.due;
   candidate_instructions =
       std::max(candidate_instructions, other.candidate_instructions);
-  for (const auto& [key, counts] : other.sites) {
-    auto& sc = sites[key];
-    sc.hits += counts.hits;
-    sc.masked += counts.masked;
-    sc.sdc += counts.sdc;
-    sc.due += counts.due;
-  }
-  // Golden profile counts describe the same app; keep the longer vector.
-  if (other.pc_exec_counts.size() > pc_exec_counts.size())
-    pc_exec_counts = other.pc_exec_counts;
 }
 
 namespace detail {
 
 namespace {
 
-/// Golden-run hook: the candidate census, the per-pc profile, and each
-/// CTA's candidate tallies (all, and per stratum) for the golden tape.
+/// Golden-run hook: the candidate census and each CTA's candidate tallies
+/// (all, and per stratum) for the golden tape.
 struct GoldenHook : emu::InstrumentHook {
   bool memory_is_float = true;
-  emu::Profiler profiler;
   std::vector<std::uint64_t> per_cta;  ///< candidates of each CTA
   /// Candidates of each CTA per stratum, indexed opcode * kNumRanges +
   /// range; grown lazily to the current CTA.
@@ -248,9 +236,6 @@ struct GoldenHook : emu::InstrumentHook {
   }
   void on_pred_retire(const emu::RetireInfo& info, bool&) override {
     note(info);
-  }
-  void on_count(const emu::RetireInfo& info) override {
-    profiler.on_count(info);
   }
   bool on_cta(std::size_t) override {
     per_cta.push_back(0);
@@ -304,7 +289,6 @@ Golden run_golden(const App& app, emu::Interpreter interpreter) {
                     static_cast<rtlfi::InputRange>(i % rtlfi::kNumRanges)};
     g.stratum_before[s] = prefix_sums(std::move(hook.stratum_per_cta[i]), n);
   }
-  g.pc_exec_counts = hook.profiler.pc_counts();
   return g;
 }
 
@@ -323,22 +307,15 @@ void run_one_trial(const App& app, emu::Device& dev, InjectHook& hook,
         "gpufi_sw_injections_total", "opcode",
         hook.fired() ? isa::mnemonic(hook.hit_opcode()) : "none"));
   ++shard.injections;
-  auto& site = shard.sites[{hook.fired() ? hook.hit_pc() : -1,
-                            hook.fired() ? hook.hit_opcode()
-                                         : isa::Opcode::NOP}];
-  ++site.hits;
   std::string_view outcome;
   if (!ok) {
     ++shard.due;
-    ++site.due;
     outcome = vocab::kOutcomeDue;
   } else if (app.read_output(dev) == golden.out) {
     ++shard.masked;
-    ++site.masked;
     outcome = vocab::kOutcomeMasked;
   } else {
     ++shard.sdc;
-    ++site.sdc;
     outcome = vocab::kOutcomeSdc;
   }
   if (obs_on)
@@ -351,8 +328,7 @@ Result run_sw_campaign(const App& app, const Config& cfg, bool replay) {
   span.set("model", fault_model_name(cfg.model));
   span.set("injections", static_cast<std::uint64_t>(cfg.n_injections));
 
-  // Golden pass: candidate profile, per-pc execution counts (residency
-  // denominators for attribution), reference output and golden tape.
+  // Golden pass: candidate census, reference output and golden tape.
   const Golden golden = run_golden(app, cfg.interpreter);
 
   exec::EngineConfig ec;
@@ -383,7 +359,6 @@ Result run_sw_campaign(const App& app, const Config& cfg, bool replay) {
         run_one_trial(app, *dev, hook, golden, shard, replay);
       });
   result.candidate_instructions = golden.candidates;
-  result.pc_exec_counts = golden.pc_exec_counts;
   return result;
 }
 

@@ -202,20 +202,6 @@ struct Config {
   std::size_t shard_count = 0;
 };
 
-/// Outcome tallies for one software fault site (a static instruction).
-struct SwSiteCounts {
-  std::uint64_t hits = 0;
-  std::uint64_t masked = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t due = 0;
-};
-
-/// Site → counts for a software campaign, keyed by (static pc, opcode).
-/// The pc -1 bucket collects trials whose target draw landed past the
-/// dynamic stream (e.g. a DUE killed the run before the target retired).
-using SwSiteTable =
-    std::map<std::pair<std::int32_t, isa::Opcode>, SwSiteCounts>;
-
 /// Campaign outcome: the Program Vulnerability Factor data of Fig. 10 /
 /// Table III.
 struct Result {
@@ -224,13 +210,6 @@ struct Result {
   std::size_t sdc = 0;
   std::size_t due = 0;
   std::uint64_t candidate_instructions = 0;
-
-  /// Per-(static pc, opcode) outcome tallies: which instruction each
-  /// injection corrupted and what came of it (software-side attribution).
-  SwSiteTable sites;
-  /// Golden per-static-instruction retirement counts (emu::Profiler),
-  /// indexed by pc — the residency denominator for normalizing `sites`.
-  std::vector<std::uint64_t> pc_exec_counts;
 
   /// SDC PVF: probability that a fault which reached an architecturally
   /// visible state corrupts the application output.
@@ -253,19 +232,18 @@ struct Result {
 };
 
 /// Runs a software fault-injection campaign on one application: one golden
-/// run (profile + reference output), then `n_injections` runs with exactly
+/// run (candidate census + reference output), then `n_injections` runs with exactly
 /// one corrupted dynamic instruction each.
 Result run_sw_campaign(const App& app, const Config& cfg);
 
 namespace detail {
 
 /// Everything a campaign's golden run yields: the reference output, the
-/// candidate census, the per-pc profile and the golden tape with the
-/// candidate counts its CTAs skip over.
+/// candidate census and the golden tape with the candidate counts its CTAs
+/// skip over.
 struct Golden {
   std::vector<std::uint32_t> out;
   std::uint64_t candidates = 0;
-  std::vector<std::uint64_t> pc_exec_counts;
   emu::CtaTape tape;
   /// Candidates retired before each tape CTA, plus the total at the end
   /// (tape.ctas.size() + 1 entries): every candidate, and per stratum (the
@@ -285,10 +263,10 @@ Golden run_golden(const App& app, emu::Interpreter interpreter);
 
 /// One injection trial, shared by run_sw_campaign and the planner: resets
 /// the reused `dev`, runs the app with `hook` attached, classifies the
-/// outcome against the golden output, and records counters, the site-table
-/// entry and the per-trial obs counters into `shard`. With `replay` the CTAs
-/// before the shot replay from the golden tape; the outcome is identical
-/// without it (the path tests compare against).
+/// outcome against the golden output, counts it into `shard` and bumps the
+/// per-trial obs counters. With `replay` the CTAs before the shot replay
+/// from the golden tape; the outcome is identical without it (the path
+/// tests compare against).
 void run_one_trial(const App& app, emu::Device& dev, InjectHook& hook,
                    const Golden& golden, Result& shard, bool replay);
 

@@ -30,6 +30,16 @@ void Dist::add(double rel_error) {
   if (samples_.size() < kMaxSamples) samples_.push_back(rel_error);
 }
 
+std::optional<Dist> Dist::restore(std::size_t count,
+                                  const std::vector<double>& samples) {
+  if (samples.size() != std::min(count, kMaxSamples)) return std::nullopt;
+  Dist d;
+  for (const double s : samples) d.add(s);
+  if (d.n_ != samples.size()) return std::nullopt;
+  d.n_ = count;
+  return d;
+}
+
 double Dist::median() const { return stats::median(samples_); }
 
 bool Dist::fit() {
@@ -324,18 +334,24 @@ void save_dist(std::ostream& os, const Dist& d) {
   os << '\n';
 }
 
-/// One "count stored s_1 .. s_stored" line. `count` is re-derived from the
-/// samples, so only its grammar is checked.
+/// One "count stored s_1 .. s_stored" line, as save_dist writes it.
 Dist load_dist(kv::Cursor& c) {
-  Dist d;
   kv::Fields f{c.take_line(), &c};
-  f.next<std::size_t>();
+  const auto count = f.next<std::size_t>();
   const auto stored = f.next<std::size_t>();
   if (stored > Dist::kMaxSamples) c.fail("sample count above kMaxSamples");
-  for (std::size_t i = 0; c.ok && i < stored; ++i) d.add(f.next<double>());
+  std::vector<double> samples;
+  for (std::size_t i = 0; c.ok && i < stored; ++i)
+    samples.push_back(f.next<double>());
   f.done();
-  if (c.ok) d.fit();
-  return d;
+  if (!c.ok) return {};
+  auto d = Dist::restore(count, samples);
+  if (!d) {
+    c.fail("samples are not what add() keeps of the count");
+    return {};
+  }
+  d->fit();
+  return std::move(*d);
 }
 
 void save_tmxm(std::ostream& os, const TilePatternStats& s) {

@@ -79,6 +79,13 @@ class Dist {
   /// Cap on raw samples retained per distribution.
   static constexpr std::size_t kMaxSamples = 50000;
 
+  /// The distribution of `count` syndromes whose kept samples are
+  /// `samples` (what count() and samples() read), unfitted. nullopt unless
+  /// `samples` is what add() keeps of `count` syndromes: min(count,
+  /// kMaxSamples) of them, none of which add() would drop.
+  static std::optional<Dist> restore(std::size_t count,
+                                     const std::vector<double>& samples);
+
  private:
   std::size_t n_ = 0;
   std::vector<double> samples_;

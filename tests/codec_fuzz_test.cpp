@@ -1,7 +1,8 @@
 // Deterministic mutation fuzzing of every decoder on a process or file
 // boundary: serve frames, specs, progress and stats payloads, every fabric
-// control message, both lossless fabric partials, the --plan vocabulary,
-// the endpoint grammar and the syndrome database.
+// control message, the lossless rtl partial and the sw result (the sw shard
+// partial), the --plan vocabulary, the endpoint grammar and the syndrome
+// database.
 //
 // Each decoder starts from one golden encoding. From one fixed seed, every
 // mutant applies one or two of: a bit flip, a byte replaced from the
@@ -104,10 +105,6 @@ swfi::Result sw_result() {
   r.sdc = 3;
   r.due = 1;
   r.candidate_instructions = 4096;
-  r.pc_exec_counts = {64, 64, 0, 4032, 1};
-  r.sites[{-1, isa::Opcode::NOP}] = {1, 0, 0, 1};
-  r.sites[{3, isa::Opcode::FFMA}] = {6, 3, 3, 0};
-  r.sites[{4, isa::Opcode::IADD}] = {2, 2, 0, 0};
   return r;
 }
 
@@ -193,9 +190,10 @@ std::vector<Codec> codecs() {
       {"rtl_partial", encode_rtl_partial(rtl_result()),
        via([](std::string_view b) { return decode_rtl_partial(b); },
            encode_rtl_partial)});
-  all.push_back({"sw_partial", encode_sw_partial(sw_result()),
-                 via([](std::string_view b) { return decode_sw_partial(b); },
-                     encode_sw_partial)});
+  all.push_back(
+      {"sw_result", serve::serialize_sw_result(sw_result()),
+       via([](std::string_view b) { return serve::decode_sw_result(b); },
+           serve::serialize_sw_result)});
   all.push_back({"plan", plan_text({0.05, 16, 90}),
                  via([](std::string_view b) { return vocab::parse_plan(b); },
                      plan_text)});

@@ -329,16 +329,6 @@ TEST(Equiv, CampaignsIdenticalAcrossFaultModels) {
     EXPECT_EQ(a.sdc, b.sdc) << tag;
     EXPECT_EQ(a.due, b.due) << tag;
     EXPECT_EQ(a.candidate_instructions, b.candidate_instructions) << tag;
-    EXPECT_EQ(a.pc_exec_counts, b.pc_exec_counts) << tag;
-    ASSERT_EQ(a.sites.size(), b.sites.size()) << tag;
-    for (auto ia = a.sites.begin(), ib = b.sites.begin(); ia != a.sites.end();
-         ++ia, ++ib) {
-      EXPECT_EQ(ia->first, ib->first) << tag;
-      EXPECT_EQ(ia->second.hits, ib->second.hits) << tag;
-      EXPECT_EQ(ia->second.masked, ib->second.masked) << tag;
-      EXPECT_EQ(ia->second.sdc, ib->second.sdc) << tag;
-      EXPECT_EQ(ia->second.due, ib->second.due) << tag;
-    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for gpufi-fabric: the endpoint grammar, chunk-aligned shard
-// planning, the lossless partial codecs, the version handshake, and
+// planning, the shard partial codecs, the version handshake, and
 // coordinator/worker fleets pinning the distributed byte-identity
 // contract — a fabric campaign's merged payload equals the offline
 // single-process run for any worker count, over Unix or TCP transport,
@@ -256,7 +256,7 @@ TEST(Protocol, RtlPartialRoundTripsBitForBit) {
             serve::serialize_campaign_result(spec, r));
 }
 
-TEST(Protocol, SwPartialRoundTripsBitForBit) {
+TEST(Protocol, SwResultRoundTripsBitForBit) {
   const auto app = vocab::make_app("mxm");
   swfi::Config cfg;
   cfg.model = swfi::FaultModel::SingleBitFlip;
@@ -266,10 +266,11 @@ TEST(Protocol, SwPartialRoundTripsBitForBit) {
   const auto r = swfi::run_sw_campaign(app.app, cfg);
   ASSERT_GT(r.injections, 0u);
 
+  // The public sw payload is the sw shard partial: it carries every field.
   std::string error;
-  const auto back = decode_sw_partial(encode_sw_partial(r), &error);
+  const auto back =
+      serve::decode_sw_result(serve::serialize_sw_result(r), &error);
   ASSERT_TRUE(back) << error;
-  EXPECT_EQ(encode_sw_partial(*back), encode_sw_partial(r));
   EXPECT_EQ(serve::serialize_sw_result(*back), serve::serialize_sw_result(r));
 }
 
@@ -277,7 +278,7 @@ TEST(Protocol, PartialDecodersRejectGarbage) {
   std::string error;
   EXPECT_FALSE(decode_rtl_partial("", &error));
   EXPECT_FALSE(decode_rtl_partial("v=99\n", &error));
-  EXPECT_FALSE(decode_sw_partial("not a partial", &error));
+  EXPECT_FALSE(serve::decode_sw_result("not a result", &error));
   EXPECT_FALSE(decode_shard_request("job=\n"));
   EXPECT_FALSE(decode_hello("version=x\n"));
   // A version past 32 bits is not v1.
@@ -292,22 +293,27 @@ TEST(Protocol, PartialDecodersRejectGarbage) {
   EXPECT_FALSE(decode_shard_request(
       "job=1\nshard=0\nn_shards=4294967297\noffset=0\ncount=0\nfinal=1\n" +
       spec));
-  // A wire count is not an allocation size: an absurd pc_counts length
-  // fails to decode instead of throwing from reserve().
-  const std::string head =
-      "v=1\ninjections=0\nmasked=0\nsdc=0\ndue=0\ncandidates=0\n";
-  EXPECT_TRUE(decode_sw_partial(head + "pc_counts=2 5 7\nsites=0\n", &error))
+  // A sw result holds its keys in serialize_sw_result's order, once each,
+  // and nothing after them; a count past 64 bits is rejected, not wrapped.
+  const auto sw = [](std::string_view injections, std::string_view tail) {
+    return "kind=sw\ninjections=" + std::string(injections) +
+           "\nmasked=1\nsdc=1\ndue=1\n" + std::string(tail);
+  };
+  EXPECT_TRUE(serve::decode_sw_result(sw("3", "candidates=9\n"), &error))
       << error;
-  EXPECT_FALSE(decode_sw_partial(
-      head + "pc_counts=18446744073709551615\nsites=0\n", &error));
+  EXPECT_FALSE(serve::decode_sw_result(
+      sw("18446744073709551616", "candidates=9\n"), &error));
+  EXPECT_FALSE(serve::decode_sw_result(sw("3", ""), &error));  // missing
+  EXPECT_FALSE(serve::decode_sw_result(
+      sw("3", "due=1\ncandidates=9\n"), &error));  // repeated
+  EXPECT_FALSE(serve::decode_sw_result(
+      "kind=sw\ninjections=3\nsdc=1\nmasked=1\ndue=1\ncandidates=9\n",
+      &error));  // out of order
+  EXPECT_FALSE(serve::decode_sw_result(
+      "kind=rtl\ninjections=3\nmasked=1\nsdc=1\ndue=1\ncandidates=9\n",
+      &error));
   EXPECT_FALSE(
-      decode_sw_partial(head + "pc_counts=4000000000000\nsites=0\n", &error));
-  // Record fields are range-checked against their 32-bit types too.
-  EXPECT_TRUE(decode_sw_partial(head + "pc_counts=0\nsites=1\ns=-1 0 1 0 1 0\n",
-                                &error))
-      << error;
-  EXPECT_FALSE(decode_sw_partial(
-      head + "pc_counts=0\nsites=1\ns=2147483648 0 1 0 1 0\n", &error));
+      serve::decode_sw_result(sw("3", "candidates=9\nx"), &error));  // trailing
   const auto rtl_partial = [](const char* bit) {
     std::string p =
         "v=1\ninjected=1\nmasked=0\nsdc_single=1\nsdc_multi=0\ndue=0\n"
@@ -331,16 +337,27 @@ TEST(Protocol, SpecWorkersFieldRoundTrips) {
 // ------------------------------------------------------- fleet byte-identity
 
 TEST(Fabric, RtlByteIdenticalAcrossWorkerCounts) {
-  const auto spec = rtl_spec();
-  const std::string offline = serve::run_spec_offline(spec);
+  // The rtl spec merges lossless rtl partials; a bitflip and a syndrome sw
+  // spec merge public sw results.
+  auto syndrome = sw_spec();
+  syndrome.model = "syndrome";
+  syndrome.db_path = GPUFI_TEST_DATA_DIR "/syndromes.db";
+  const std::vector<serve::CampaignSpec> specs{rtl_spec(), sw_spec(),
+                                               syndrome};
+  std::vector<std::string> offline;
+  for (const auto& spec : specs)
+    offline.push_back(serve::run_spec_offline(spec));
   for (const std::size_t n_workers : {1, 2, 4}) {
     Fleet fleet("fab_rtl_" + std::to_string(n_workers) + ".sock", n_workers);
-    const std::string served = fleet.coord->run_job(
-        spec, static_cast<unsigned>(n_workers), {}, nullptr);
-    EXPECT_EQ(served, offline)
-        << n_workers << "-worker fabric run drifted from offline";
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const std::string served = fleet.coord->run_job(
+          specs[i], static_cast<unsigned>(n_workers), {}, nullptr);
+      EXPECT_EQ(served, offline[i])
+          << n_workers << "-worker fabric run of spec " << i
+          << " drifted from offline";
+    }
     const auto s = fleet.coord->stats();
-    EXPECT_EQ(s.jobs_completed, 1u);
+    EXPECT_EQ(s.jobs_completed, specs.size());
     EXPECT_EQ(s.shards_retried, 0u);
     EXPECT_EQ(s.shards_duplicate, 0u);
   }

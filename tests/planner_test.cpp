@@ -33,16 +33,6 @@ void expect_same_result(const Result& a, const Result& b) {
   EXPECT_EQ(a.sdc, b.sdc);
   EXPECT_EQ(a.due, b.due);
   EXPECT_EQ(a.candidate_instructions, b.candidate_instructions);
-  EXPECT_EQ(a.pc_exec_counts, b.pc_exec_counts);
-  ASSERT_EQ(a.sites.size(), b.sites.size());
-  for (auto ia = a.sites.begin(), ib = b.sites.begin(); ia != a.sites.end();
-       ++ia, ++ib) {
-    EXPECT_EQ(ia->first, ib->first);
-    EXPECT_EQ(ia->second.hits, ib->second.hits);
-    EXPECT_EQ(ia->second.masked, ib->second.masked);
-    EXPECT_EQ(ia->second.sdc, ib->second.sdc);
-    EXPECT_EQ(ia->second.due, ib->second.due);
-  }
 }
 
 TEST(Planner, FixedModeEqualsLegacyCampaign) {

@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "core/gpufi.hpp"
 #include "rtlfi/campaign.hpp"
@@ -259,10 +261,40 @@ TEST(Database, LoadRejectsCorruptRecords) {
                     text.substr(first_key, second_key - first_key) +
                     text.substr(text.find("tmxm"));
   EXPECT_THROW(load_text(dup), std::runtime_error);
-  // A sample outside the number grammar.
-  std::string nan_sample = text;
-  nan_sample.replace(nan_sample.find("0.5"), 3, "nan");
-  EXPECT_THROW(load_text(nan_sample), std::runtime_error);
+  // A sample outside the number grammar, and samples save() never writes:
+  // one add() would drop (not > 0), or a stored count other than
+  // min(count, kMaxSamples) (six stored of seven syndromes, or of five).
+  const std::pair<std::string_view, std::string_view> edits[] = {
+      {"0.5", "nan"},      {"0.5", "0"},         {"0.5", "-0.5"},
+      {"\n6 6 ", "\n7 6 "}, {"\n6 6 ", "\n5 6 "}};
+  for (const auto& [from, to] : edits) {
+    std::string bad = text;
+    bad.replace(bad.find(from), from.size(), to);
+    EXPECT_THROW(load_text(bad), std::runtime_error) << to;
+  }
+}
+
+TEST(Database, CountPastMaxSamplesSurvivesSaveAndLoad) {
+  // One SDC record corrupting 60,000 elements: more syndromes than a
+  // distribution keeps samples of.
+  rtlfi::InjectionRecord rec;
+  rec.outcome = rtlfi::Outcome::Sdc;
+  for (std::uint32_t i = 0; i < 60000; ++i)
+    rec.diffs.push_back({.index = i, .rel_error = 1e-3 * (1 + i % 997)});
+  rtlfi::CampaignResult r;
+  r.records.push_back(rec);
+  Database db;
+  const Key key{Module::Fp32Fu, Opcode::FADD, InputRange::Medium};
+  db.add_campaign(key, r);
+  db.finalize();
+  ASSERT_EQ(db.find(key)->count(), 60000u);
+
+  const std::string text = save_text(db);
+  const Database loaded = load_text(text);
+  ASSERT_NE(loaded.find(key), nullptr);
+  EXPECT_EQ(loaded.find(key)->count(), 60000u);
+  EXPECT_EQ(loaded.find(key)->samples().size(), Dist::kMaxSamples);
+  EXPECT_EQ(save_text(loaded), text);
 }
 
 TEST(Database, CommittedDatabaseSavesBackByteForByte) {
