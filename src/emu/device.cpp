@@ -159,7 +159,7 @@ LaunchResult Device::launch(const isa::Program& prog, const LaunchDims& dims,
     for (unsigned cta = 0; cta < dims.ctas(); ++cta) {
       const std::size_t run_cta = ctas_run_++;
       InstrumentHook* const hook =
-          cfg.hook && !cfg.hook->done() ? cfg.hook : nullptr;
+          cfg.hook && !cfg.hook->done(nullptr) ? cfg.hook : nullptr;
       if (hook && hook->on_cta(run_cta) && replaying_ &&
           run_cta < replaying_->ctas.size()) {
         const auto& tape = replaying_->ctas;
@@ -260,10 +260,10 @@ void Device::run_cta_scalar(const isa::Program& prog, const LaunchDims& dims,
       const std::int32_t pc = top.pc;
       if (pc < 0 || pc >= code_size) throw Trap("invalid PC");
       const Instr& instr = prog.code[pc];
-      // A spent one-shot hook drops the rest of the launch to the
-      // unhooked fast path (results are identical either way).
+      // A hook done with this instruction runs it on the unhooked fast
+      // path (results are identical either way).
       InstrumentHook* const hook =
-          cfg.hook && !cfg.hook->done() ? cfg.hook : nullptr;
+          cfg.hook && !cfg.hook->done(&instr) ? cfg.hook : nullptr;
 
       // Per-thread guard evaluation.
       std::uint32_t exec = 0;
@@ -630,10 +630,10 @@ void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
       const std::int32_t pc = top.pc;
       if (pc < 0 || pc >= code_size) throw Trap("invalid PC");
       const Instr& instr = prog.code[pc];
-      // A spent one-shot hook drops the rest of the launch to the
-      // unhooked fast path (results are identical either way).
+      // A hook done with this instruction runs it on the unhooked fast
+      // path (results are identical either way).
       InstrumentHook* const hook =
-          cfg.hook && !cfg.hook->done() ? cfg.hook : nullptr;
+          cfg.hook && !cfg.hook->done(&instr) ? cfg.hook : nullptr;
 
       // Guard mask, evaluated from the predicate slab over live lanes.
       std::uint32_t exec = top.mask;

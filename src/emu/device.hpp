@@ -50,15 +50,18 @@ class InstrumentHook {
   virtual void on_retire(const RetireInfo& /*info*/, std::uint32_t& /*value*/) {}
   virtual void on_pred_retire(const RetireInfo& /*info*/, bool& /*value*/) {}
   virtual void on_count(const RetireInfo& /*info*/) {}
-  /// A hook that returns true here promises it no longer observes or mutates
-  /// anything: the interpreter may stop issuing callbacks and drop to the
-  /// unhooked fast path (batched retire accounting) for the rest of the
-  /// launch. Queried once per warp-instruction. Everything the launch
-  /// produces — memory, retired totals, traps — is identical either way;
-  /// a one-shot injection hook uses this to make the post-fire tail of a
-  /// trial (on average half of it, all of it for a fault-induced hang) run
-  /// at uninstrumented speed.
-  virtual bool done() const { return false; }
+  /// A hook that returns true here promises it neither observes nor mutates
+  /// the retirements of `next`, the static instruction a warp is about to
+  /// issue (nullptr: of any instruction, for the rest of the launch). The
+  /// interpreter then runs that warp-instruction on the unhooked fast path:
+  /// no callbacks, batched retire accounting. Asked once per
+  /// warp-instruction, and with nullptr once per CTA before on_cta.
+  /// Everything the launch produces — memory, retired totals, traps — is
+  /// identical either way. A one-shot injection hook uses this to make the
+  /// post-fire tail of a trial (on average half of it, all of it for a
+  /// fault-induced hang) run at uninstrumented speed, and a sticky one to
+  /// run everything its fault cannot touch there.
+  virtual bool done(const isa::Instr* /*next*/) const { return false; }
   /// Called before each CTA runs, with the CTA's position in the device's
   /// run: CTAs are numbered across launches from 0 at construction or the
   /// last Device::reset(). On a device replaying a golden tape
