@@ -123,7 +123,9 @@ std::optional<std::vector<float>> GpuInference::run(
     emu::Device& dev, const Tensor& input, const InferOptions& opts) const {
   if (dev.global_words() < device_words_)
     throw std::invalid_argument("GpuInference: device too small");
-  const Program kernel = gemm_kernel();
+  // One program for every layer's launch: a static instruction is the same
+  // isa::Instr across launches (the sticky injector re-fires on it).
+  Program kernel = gemm_kernel();
 
   Tensor t = input;
   std::vector<float> vec;  // flat activations once the fc stack starts
@@ -155,14 +157,13 @@ std::optional<std::vector<float>> GpuInference::run(
     const auto c_base = static_cast<std::uint32_t>(g.a.size() + b.size());
     dev.copy_in_f(a_base, g.a.data(), g.a.size());
     dev.copy_in_f(b_base, b.data(), b.size());
-    Program p = kernel;
-    p.params = {a_base, b_base, c_base, g.np, g.kp, g.kp / 8, 0, 0};
+    kernel.params = {a_base, b_base, c_base, g.np, g.kp, g.kp / 8, 0, 0};
     emu::LaunchConfig cfg;
     cfg.hook = opts.hook;
     cfg.oob_wraps = true;
     cfg.max_retired = kLaunchBudget;
     const auto r =
-        dev.launch(p, emu::LaunchDims{g.np / 8, g.mp / 8, 8, 8}, cfg);
+        dev.launch(kernel, emu::LaunchDims{g.np / 8, g.mp / 8, 8, 8}, cfg);
     if (r.status != emu::LaunchStatus::Ok) return std::nullopt;
     std::vector<float> cmat(static_cast<std::size_t>(g.mp) * g.np);
     dev.copy_out_f(c_base, cmat.data(), cmat.size());

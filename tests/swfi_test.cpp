@@ -270,6 +270,63 @@ TEST(InjectHook, StickyModelHitCapBoundsCorruption) {
   EXPECT_EQ(h.corrupted_threads(), InjectHook::kStickyMaxHits);
 }
 
+TEST(InjectHook, StickyModelRefiresOnItsInstructionNotItsPc) {
+  // Two kernels of one app both have a pc 5: a stuck fault at pc 5 of one
+  // kernel keeps corrupting that instruction only. The fast-path query
+  // agrees: once fired, the hook is done everywhere but at its instruction.
+  InjectHook h(FaultModel::StickyRelativeError, 0, 1, nullptr, true);
+  const isa::Instr hit{.op = isa::Opcode::FADD};
+  const isa::Instr other{.op = isa::Opcode::FADD};
+  EXPECT_FALSE(h.done(&other));
+  emu::RetireInfo first;
+  first.instr = &hit;
+  first.pc = 5;
+  first.thread = emu::ThreadId{0, 0, 0, 0};
+  std::uint32_t v = std::bit_cast<std::uint32_t>(2.0f);
+  h.on_retire(first, v);
+  ASSERT_TRUE(h.fired());
+  EXPECT_NE(std::bit_cast<float>(v), 2.0f);
+  EXPECT_FALSE(h.done(&hit));
+  EXPECT_TRUE(h.done(&other));
+  EXPECT_FALSE(h.done(nullptr));
+
+  emu::RetireInfo other_kernel = first;
+  other_kernel.instr = &other;
+  std::uint32_t u = std::bit_cast<std::uint32_t>(2.0f);
+  h.on_retire(other_kernel, u);
+  EXPECT_EQ(std::bit_cast<float>(u), 2.0f);
+  EXPECT_EQ(h.corrupted_threads(), 1u);
+
+  // The hit instruction re-fires until the cap, and then nothing is left.
+  while (h.corrupted_threads() < InjectHook::kStickyMaxHits) {
+    std::uint32_t w = std::bit_cast<std::uint32_t>(2.0f);
+    h.on_retire(first, w);
+    ASSERT_NE(std::bit_cast<float>(w), 2.0f);
+  }
+  EXPECT_TRUE(h.done(&hit));
+  EXPECT_TRUE(h.done(nullptr));
+}
+
+TEST(InjectHook, WarpModelStopsAtAnotherKernelsPc) {
+  InjectHook h(FaultModel::WarpRelativeError, 0, 2, nullptr, true);
+  const isa::Instr hit{.op = isa::Opcode::FMUL};
+  const isa::Instr other{.op = isa::Opcode::FMUL};
+  emu::RetireInfo a;
+  a.instr = &hit;
+  a.pc = 3;
+  a.thread = emu::ThreadId{0, 0, 0, 0};
+  std::uint32_t v = std::bit_cast<std::uint32_t>(1.0f);
+  h.on_retire(a, v);
+  ASSERT_TRUE(h.fired());
+  emu::RetireInfo b = a;
+  b.instr = &other;  // same pc, cta and warp, another kernel: untouched
+  b.thread.lane = 1;
+  std::uint32_t u = std::bit_cast<std::uint32_t>(1.0f);
+  h.on_retire(b, u);
+  EXPECT_EQ(std::bit_cast<float>(u), 1.0f);
+  EXPECT_TRUE(h.done(nullptr));  // and the fault is disarmed
+}
+
 TEST(Campaign, StickyModelIsDeterministicAcrossJobs) {
   auto h = apps::make_mxm(16);
   Config cfg;
