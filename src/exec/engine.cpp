@@ -41,9 +41,12 @@ unsigned resolve_jobs(unsigned jobs, std::size_t n_units) {
 
 std::size_t chunk_size(std::size_t n_trials) {
   // Roughly 64 chunks per campaign so any realistic worker count load-balances
-  // well, floored at 16 trials so per-chunk context setup (e.g. constructing
-  // an rtl::Sm) amortizes. Must stay a pure function of the trial count: the
-  // jobs knob must never influence which trials share a context.
+  // well, floored at 16 trials so per-chunk work (a worker context, a metrics
+  // shard, a merge) amortizes. The grid is observable: the fabric splits
+  // shards on it and the exec counters count it, so both bounds stay put
+  // even for cheap contexts (an rtl::Sm builds in about a microsecond). Must
+  // stay a pure function of the trial count: the jobs knob must never
+  // influence which trials share a context.
   const std::size_t target = (n_trials + 63) / 64;
   return std::clamp<std::size_t>(target, 16, 256);
 }

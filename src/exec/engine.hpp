@@ -92,8 +92,11 @@ unsigned resolve_jobs(unsigned jobs, std::size_t n_units);
 
 /// Trials are executed in contiguous index chunks; the chunk size is a
 /// function of the trial count ONLY (never of `jobs`), so per-chunk worker
-/// context (e.g. a reused rtl::Sm) sees the same trial sequence whatever the
-/// parallelism — a prerequisite for the bit-identical-across-jobs guarantee.
+/// context (e.g. the rtl::Sm a chunk's trials share) sees the same trial
+/// sequence whatever the parallelism — a prerequisite for the
+/// bit-identical-across-jobs guarantee. The 16-trial floor amortizes
+/// per-chunk work (a context, a metrics shard, a merge) and fixes the grid
+/// that fabric shards split on.
 std::size_t chunk_size(std::size_t n_trials);
 
 /// One contiguous chunk-aligned trial range — the fabric's unit of

@@ -1343,6 +1343,11 @@ float Sm::read_float(std::uint32_t addr) const {
 void Sm::write_float(std::uint32_t addr, float value) {
   write_word(addr, std::bit_cast<std::uint32_t>(value));
 }
+std::vector<std::uint32_t> Sm::global() const {
+  std::vector<std::uint32_t> out(global_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = global_[i];
+  return out;
+}
 void Sm::fill(std::uint32_t addr, std::size_t words, std::uint32_t value) {
   if (addr + words > global_.size()) throw std::out_of_range("fill");
   for (std::size_t i = 0; i < words; ++i) global_.store(addr + i, value);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -98,12 +99,19 @@ struct RunResult {
 };
 
 /// Architectural memory with an incrementally maintained content digest and
-/// a high watermark over its touched prefix. Invariant: every element at
-/// index >= hi() is T{}. clear(), snapshot() and restore() are therefore
-/// proportional to the touched prefix, not to the (multi-megaword) array.
+/// a high watermark over its touched prefix. Storage is allocated
+/// uninitialized in pages of kPageWords elements, one live flag per page: a
+/// dead page reads as zeros, and the first nonzero store to it zero-fills
+/// it. Invariant: every element at index >= hi() reads T{}, so construction,
+/// clear(), snapshot() and restore() cost what a run touched, not the
+/// (multi-megaword) array size, and a store far above the data costs one
+/// page.
 template <class T>
 class TrackedArray {
  public:
+  static constexpr std::size_t kPageShift = 10;
+  static constexpr std::size_t kPageWords = std::size_t{1} << kPageShift;
+
   /// Prefix copy of the array (checkpoint building block).
   struct Snapshot {
     std::vector<T> prefix;  ///< copy of [0, hi) at capture
@@ -113,29 +121,31 @@ class TrackedArray {
 
   /// (Re)initializes to `n` zero elements under digest domain `salt`.
   void init(std::size_t n, std::uint64_t salt) {
-    v_.assign(n, T{});
+    allocate(n);
     salt_ = salt;
-    hi_ = 0;
-    digest_ = 0;
   }
   /// Resizes to `n` zero elements (keeps salt and tracking mode).
   void resize_clear(std::size_t n) {
-    if (v_.size() == n) {
+    if (n_ == n)
       clear();
-      return;
-    }
-    v_.assign(n, T{});
-    hi_ = 0;
-    digest_ = 0;
+    else
+      allocate(n);
   }
 
-  std::size_t size() const { return v_.size(); }
-  T operator[](std::size_t i) const { return v_[i]; }
-  const std::vector<T>& vec() const { return v_; }
+  std::size_t size() const { return n_; }
+  T operator[](std::size_t i) const {
+    return live_[i >> kPageShift] ? v_[i] : T{};
+  }
 
   /// The only mutation primitive: writes element `i`, maintaining the
   /// watermark and (when tracking) the digest.
   void store(std::size_t i, T val) {
+    const std::size_t p = i >> kPageShift;
+    if (!live_[p]) {
+      if (val == T{}) return;
+      std::fill_n(v_.get() + (p << kPageShift), kPageWords, T{});
+      live_[p] = true;
+    }
     T& slot = v_[i];
     if (slot == val) return;
     if (track_)
@@ -145,9 +155,9 @@ class TrackedArray {
     if (i >= hi_) hi_ = i + 1;
   }
 
-  /// Zeroes the touched prefix (equivalent to zeroing the whole array).
+  /// Drops the touched pages (equivalent to zeroing the whole array).
   void clear() {
-    std::fill(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(hi_), T{});
+    std::fill_n(live_.get(), pages(hi_), false);
     hi_ = 0;
     digest_ = 0;
   }
@@ -160,7 +170,7 @@ class TrackedArray {
       digest_ = 0;
       for (std::size_t i = 0; i < hi_; ++i)
         digest_ ^= state_digest_mix(salt_, i,
-                                    static_cast<std::uint64_t>(v_[i]));
+                                    static_cast<std::uint64_t>((*this)[i]));
     }
     track_ = on;
   }
@@ -168,25 +178,46 @@ class TrackedArray {
 
   Snapshot snapshot() const {
     Snapshot s;
-    s.prefix.assign(v_.begin(),
-                    v_.begin() + static_cast<std::ptrdiff_t>(hi_));
-    s.size = v_.size();
+    s.prefix.reserve(hi_);
+    for (std::size_t b = 0; b < hi_; b += kPageWords) {
+      const std::size_t e = std::min(hi_, b + kPageWords);
+      if (live_[b >> kPageShift])
+        s.prefix.insert(s.prefix.end(), v_.get() + b, v_.get() + e);
+      else
+        s.prefix.resize(e);
+    }
+    s.size = n_;
     s.digest = digest_;
     return s;
   }
+  /// Drops the touched pages, then copies the prefix into its pages; the
+  /// last of them reads zeros past the prefix.
   void restore(const Snapshot& s) {
-    if (v_.size() != s.size)
-      v_.assign(s.size, T{});
-    else if (hi_ > s.prefix.size())
-      std::fill(v_.begin() + static_cast<std::ptrdiff_t>(s.prefix.size()),
-                v_.begin() + static_cast<std::ptrdiff_t>(hi_), T{});
-    std::copy(s.prefix.begin(), s.prefix.end(), v_.begin());
-    hi_ = s.prefix.size();
+    if (n_ != s.size) allocate(s.size);
+    clear();
+    const std::size_t n = s.prefix.size();
+    std::fill_n(live_.get(), pages(n), true);
+    std::copy(s.prefix.begin(), s.prefix.end(), v_.get());
+    std::fill(v_.get() + n, v_.get() + (pages(n) << kPageShift), T{});
+    hi_ = n;
     digest_ = s.digest;
   }
 
  private:
-  std::vector<T> v_;
+  static std::size_t pages(std::size_t n) {
+    return (n >> kPageShift) + ((n & (kPageWords - 1)) != 0);
+  }
+  void allocate(std::size_t n) {
+    n_ = n;
+    v_ = std::make_unique_for_overwrite<T[]>(pages(n) << kPageShift);
+    live_ = std::make_unique<bool[]>(pages(n));
+    hi_ = 0;
+    digest_ = 0;
+  }
+
+  std::unique_ptr<T[]> v_;        ///< pages(n_) whole pages
+  std::unique_ptr<bool[]> live_;  ///< one flag per page
+  std::size_t n_ = 0;
   std::size_t hi_ = 0;
   std::uint64_t salt_ = 0;
   std::uint64_t digest_ = 0;
@@ -255,9 +286,9 @@ class Sm {
   void write_float(std::uint32_t addr, float value);
   void fill(std::uint32_t addr, std::size_t words, std::uint32_t value);
   std::size_t global_words() const { return global_.size(); }
-  /// Snapshot of the whole global memory (for golden/faulty comparison).
-  const std::vector<std::uint32_t>& global() const { return global_.vec(); }
-  /// Zeroes global memory (cheap: only the touched prefix is written), so
+  /// Copy of the whole global memory (for golden/faulty comparison).
+  std::vector<std::uint32_t> global() const;
+  /// Zeroes global memory (cheap: only the touched pages are dropped), so
   /// every injection starts from the same power-on memory image.
   void clear_global() { global_.clear(); }
 

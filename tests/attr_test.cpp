@@ -236,9 +236,9 @@ std::string read_golden(const std::string& name) {
 
 TEST(AttrReport, RenderedReportMatchesGoldenFiles) {
   // Regenerate with:
-  //   gpufi report FFMA fp32 --faults 200 --seed 7 \
+  //   gpufi report FFMA fp32 --faults 200 --seed 7
   //       --out tests/golden/report_ffma_fp32.txt
-  //   gpufi report FFMA fp32 --faults 200 --seed 7 --json \
+  //   gpufi report FFMA fp32 --faults 200 --seed 7 --json
   //       --out tests/golden/report_ffma_fp32.json
   const Report r = core::run_report(report_config());
   EXPECT_EQ(attr::render_text(r), read_golden("report_ffma_fp32.txt"));

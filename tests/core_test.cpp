@@ -89,8 +89,9 @@ TEST_F(CoreFacade, BuildDatabaseMultiModelGridAppendsModelBlocks) {
   ASSERT_NE(both.find(probe), nullptr);
   ASSERT_NE(transient_only.find(probe), nullptr);
   EXPECT_EQ(both.find(probe)->count(), transient_only.find(probe)->count());
-  if (both.find(probe)->count() > 0)
+  if (both.find(probe)->count() > 0) {
     EXPECT_EQ(both.find(probe)->median(), transient_only.find(probe)->median());
+  }
 
   // The model list is a set: a repeated model runs once and the listed
   // order changes no byte of the saved database.

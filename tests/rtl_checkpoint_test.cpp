@@ -1,9 +1,11 @@
 // Tests for the Sm checkpoint/restore fast path: digest determinism,
 // snapshot -> mutate -> restore round-trips (including mid-beat and
-// SFU-busy capture points), the golden checkpoint ladder, and the
-// resume-equals-fresh-replay guarantee the campaign acceleration rests on.
+// SFU-busy capture points), paged memory against a dense reference, the
+// golden checkpoint ladder, and the resume-equals-fresh-replay guarantee the
+// campaign acceleration rests on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -137,6 +139,216 @@ TEST(SmCheckpointTest, AtRestRoundTripRestoresMemoryAndDigest) {
   EXPECT_EQ(sm.read_word(500000), 0u);
 }
 
+// ------------------------------------------------ paged memory vs dense
+
+/// The dense TrackedArray the paged one replaced: a zero-filled vector with
+/// the same watermark, digest and snapshot rules. Reference for the paged
+/// storage.
+template <class T>
+class DenseArray {
+ public:
+  struct Snapshot {
+    std::vector<T> prefix;
+    std::size_t size = 0;
+    std::uint64_t digest = 0;
+  };
+
+  void init(std::size_t n, std::uint64_t salt) {
+    v_.assign(n, T{});
+    salt_ = salt;
+    hi_ = 0;
+    digest_ = 0;
+  }
+  void resize_clear(std::size_t n) {
+    if (v_.size() == n) {
+      clear();
+      return;
+    }
+    v_.assign(n, T{});
+    hi_ = 0;
+    digest_ = 0;
+  }
+  std::size_t size() const { return v_.size(); }
+  T operator[](std::size_t i) const { return v_[i]; }
+  void store(std::size_t i, T val) {
+    T& slot = v_[i];
+    if (slot == val) return;
+    if (track_)
+      digest_ ^= state_digest_mix(salt_, i, slot) ^
+                 state_digest_mix(salt_, i, val);
+    slot = val;
+    if (i >= hi_) hi_ = i + 1;
+  }
+  void clear() {
+    std::fill(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(hi_), T{});
+    hi_ = 0;
+    digest_ = 0;
+  }
+  std::size_t hi() const { return hi_; }
+  std::uint64_t digest() const { return digest_; }
+  void set_tracking(bool on) {
+    if (on && !track_) {
+      digest_ = 0;
+      for (std::size_t i = 0; i < hi_; ++i)
+        digest_ ^= state_digest_mix(salt_, i, v_[i]);
+    }
+    track_ = on;
+  }
+  bool tracking() const { return track_; }
+  Snapshot snapshot() const {
+    Snapshot s;
+    s.prefix.assign(v_.begin(),
+                    v_.begin() + static_cast<std::ptrdiff_t>(hi_));
+    s.size = v_.size();
+    s.digest = digest_;
+    return s;
+  }
+  void restore(const Snapshot& s) {
+    if (v_.size() != s.size)
+      v_.assign(s.size, T{});
+    else if (hi_ > s.prefix.size())
+      std::fill(v_.begin() + static_cast<std::ptrdiff_t>(s.prefix.size()),
+                v_.begin() + static_cast<std::ptrdiff_t>(hi_), T{});
+    std::copy(s.prefix.begin(), s.prefix.end(), v_.begin());
+    hi_ = s.prefix.size();
+    digest_ = s.digest;
+  }
+
+ private:
+  std::vector<T> v_;
+  std::size_t hi_ = 0;
+  std::uint64_t salt_ = 0;
+  std::uint64_t digest_ = 0;
+  bool track_ = false;
+};
+
+using Paged = TrackedArray<std::uint32_t>;
+using Dense = DenseArray<std::uint32_t>;
+
+/// Every observable of the two arrays agrees: size, watermark, digest,
+/// tracking mode, the snapshot, and the words at `addrs` (those in range).
+testing::AssertionResult same_memory(const Paged& p, const Dense& d,
+                                     const std::vector<std::size_t>& addrs) {
+  if (p.size() != d.size())
+    return testing::AssertionFailure()
+           << "size " << p.size() << " vs " << d.size();
+  if (p.hi() != d.hi())
+    return testing::AssertionFailure() << "hi " << p.hi() << " vs " << d.hi();
+  if (p.digest() != d.digest() || p.tracking() != d.tracking())
+    return testing::AssertionFailure() << "digest or tracking mode";
+  for (const std::size_t a : addrs)
+    if (a < p.size() && p[a] != d[a])
+      return testing::AssertionFailure()
+             << "word " << a << ": " << p[a] << " vs " << d[a];
+  const auto ps = p.snapshot();
+  const auto ds = d.snapshot();
+  if (ps.prefix != ds.prefix || ps.size != ds.size || ps.digest != ds.digest)
+    return testing::AssertionFailure() << "snapshot";
+  return testing::AssertionSuccess();
+}
+
+TEST(PagedMemory, MatchesTheDenseReferenceOverASeededSequence) {
+  constexpr std::size_t kWords = std::size_t{1} << 20;
+  constexpr std::size_t kPage = Paged::kPageWords;
+  // A size that ends inside a page, for snapshots of another size.
+  constexpr std::size_t kOther = 5 * kPage + 300;
+  constexpr std::array<std::size_t, 4> kEdges = {0, kPage - 1, kPage,
+                                                 kWords - 1};
+  const std::uint64_t salt = digest_salt(kSaltDomainGlobal);
+  Paged paged;
+  Dense dense;
+  paged.init(kWords, salt);
+  dense.init(kWords, salt);
+
+  Rng rng(20261019);
+  std::vector<std::pair<Paged::Snapshot, Dense::Snapshot>> saved;
+  {
+    Paged p;
+    Dense d;
+    p.init(kOther, salt);
+    d.init(kOther, salt);
+    for (const std::size_t a : {std::size_t{3}, kPage + 7, kOther - 1}) {
+      p.store(a, 0x5a5a0000u + static_cast<std::uint32_t>(a));
+      d.store(a, 0x5a5a0000u + static_cast<std::uint32_t>(a));
+    }
+    saved.emplace_back(p.snapshot(), d.snapshot());
+  }
+
+  // Words read back after every step: the edges, recent stores, and random
+  // words over the whole array and over the data window.
+  std::vector<std::size_t> recent;
+  std::size_t zero_stores = 0, shorter = 0, longer = 0, resized = 0;
+  std::array<std::size_t, kEdges.size()> edge_stores{};
+  constexpr std::size_t kSteps = 12000;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    const std::size_t n = dense.size();
+    const auto op = rng.below(1000);
+    if (op < 700) {
+      std::size_t a = rng.below(std::min(n, 3 * kPage));
+      if (const auto e = rng.below(100); e < kEdges.size() && kEdges[e] < n) {
+        a = kEdges[e];
+        ++edge_stores[e];
+      } else if (e == kEdges.size()) {
+        a = rng.below(n);  // a wild store anywhere in range
+      }
+      std::uint32_t v = static_cast<std::uint32_t>(rng());
+      if (const auto k = rng.below(10); k < 3) {
+        v = 0;
+        ++zero_stores;
+      } else if (k < 5) {
+        v = dense[a];  // a store that changes nothing
+      }
+      paged.store(a, v);
+      dense.store(a, v);
+      recent.push_back(a);
+      if (recent.size() > 16) recent.erase(recent.begin());
+    } else if (op < 760) {
+      paged.clear();
+      dense.clear();
+    } else if (op < 820) {
+      if (saved.size() < 16)
+        saved.emplace_back(paged.snapshot(), dense.snapshot());
+      else
+        saved[rng.below(saved.size())] = {paged.snapshot(), dense.snapshot()};
+    } else if (op < 900) {
+      const auto& [ps, ds] = saved[rng.below(saved.size())];
+      if (ds.size != n)
+        ++resized;
+      else if (ds.prefix.size() < dense.hi())
+        ++shorter;
+      else if (ds.prefix.size() > dense.hi())
+        ++longer;
+      paged.restore(ps);
+      dense.restore(ds);
+    } else if (op < 920) {
+      const bool on = !dense.tracking();
+      paged.set_tracking(on);
+      dense.set_tracking(on);
+    } else if (op < 930) {
+      const std::size_t to = rng.below(2) ? kWords : kOther;
+      paged.resize_clear(to);
+      dense.resize_clear(to);
+    }
+
+    std::vector<std::size_t> addrs(kEdges.begin(), kEdges.end());
+    addrs.insert(addrs.end(), recent.begin(), recent.end());
+    for (unsigned r = 0; r < 8; ++r) {
+      addrs.push_back(rng.below(dense.size()));
+      addrs.push_back(rng.below(std::min(dense.size(), 3 * kPage)));
+    }
+    if (step % 1000 == 999)
+      for (std::size_t a = 0; a < dense.size(); ++a) addrs.push_back(a);
+    ASSERT_TRUE(same_memory(paged, dense, addrs)) << "after step " << step;
+  }
+  // The sequence covered every case it is meant to.
+  EXPECT_GT(zero_stores, 0u);
+  for (std::size_t e = 0; e < kEdges.size(); ++e)
+    EXPECT_GT(edge_stores[e], 0u) << "edge word " << kEdges[e];
+  EXPECT_GT(shorter, 0u);
+  EXPECT_GT(longer, 0u);
+  EXPECT_GT(resized, 0u);
+}
+
 // --------------------------------------------- mid-instruction round-trips
 
 /// Captures restorable checkpoints on a dense cycle range of a traced run
@@ -227,7 +439,9 @@ TEST(GoldenTraceTest, FloorReturnsNearestResumableRung) {
     EXPECT_TRUE(f->quiescent);
     EXPECT_LE(f->cycle, probe);
     for (const auto& c : trace.checkpoints) {
-      if (c.quiescent && c.cycle <= probe) EXPECT_LE(c.cycle, f->cycle);
+      if (c.quiescent && c.cycle <= probe) {
+        EXPECT_LE(c.cycle, f->cycle);
+      }
     }
   }
 }
@@ -273,6 +487,66 @@ TEST(ResumeTest, ResumeFromEveryRungEqualsFreshRun) {
     EXPECT_FALSE(run.converged);
     EXPECT_EQ(run.cycles, trace.result.cycles) << "rung @" << rung.cycle;
     EXPECT_EQ(sm.global(), golden_global) << "rung @" << rung.cycle;
+  }
+}
+
+TEST(ResumeTest, WildStoreNeverReachesTheNextTrial) {
+  // A faulty trial may store to any in-range word, far above the workload's
+  // data. Restoring a rung must leave no trace of it in the next trial.
+  const auto w = ffma_workload();
+  GoldenTrace trace;
+  Sm golden;
+  w.setup(golden);
+  ASSERT_EQ(golden.run_traced(w.program, w.dims, trace, 50).status,
+            RunStatus::Ok);
+  std::vector<const SmCheckpoint*> rungs;
+  for (const auto& c : trace.checkpoints)
+    if (c.quiescent) rungs.push_back(&c);
+  ASSERT_GE(rungs.size(), 3u);
+  const SmCheckpoint& rung = *rungs[rungs.size() / 2];
+
+  const auto last = static_cast<std::uint32_t>(golden.global_words() - 1);
+  const std::uint32_t untouched = 500000;  // a page the workload never uses
+  ASSERT_EQ(golden.read_word(untouched), 0u);
+
+  Sm dirty;
+  dirty.enable_digest_tracking();
+  dirty.restore(rung);
+  dirty.write_word(last, 0xdeadbeef);
+  dirty.write_word(untouched, 42);
+  dirty.restore(rung);
+  {
+    Sm fresh;
+    fresh.enable_digest_tracking();
+    fresh.restore(rung);
+    EXPECT_EQ(dirty.global(), fresh.global());
+    EXPECT_EQ(dirty.state_digest(), fresh.state_digest());
+  }
+
+  // The next trials from that rung, each after another wild store.
+  Rng rng(777);
+  const auto bits = layouts().pipeline.layout.bits();
+  for (unsigned trial = 0; trial < 8; ++trial) {
+    FaultSpec f;
+    f.module = Module::PipelineRegs;
+    f.bit = static_cast<std::uint32_t>(rng.below(bits));
+    f.cycle = rung.cycle + rng.below(trace.result.cycles - rung.cycle);
+    dirty.write_word(last, 0xdeadbeef + trial);
+    dirty.write_word(untouched + 4096 * trial, 42);
+    Sm fresh;
+    fresh.restore(rung);
+    const auto a = dirty.resume_with_fault(w.program, w.dims, f,
+                                           trace.result.cycles * 4 + 4096,
+                                           rung, &trace);
+    const auto b = fresh.resume_with_fault(w.program, w.dims, f,
+                                           trace.result.cycles * 4 + 4096,
+                                           rung, &trace);
+    EXPECT_EQ(a.status, b.status) << "trial " << trial;
+    EXPECT_EQ(a.trap_reason, b.trap_reason) << "trial " << trial;
+    EXPECT_EQ(a.cycles, b.cycles) << "trial " << trial;
+    EXPECT_EQ(a.converged, b.converged) << "trial " << trial;
+    EXPECT_EQ(dirty.global(), fresh.global()) << "trial " << trial;
+    EXPECT_EQ(dirty.state_digest(), fresh.state_digest()) << "trial " << trial;
   }
 }
 
