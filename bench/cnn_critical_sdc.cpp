@@ -34,8 +34,10 @@ int main() {
     for (auto model : {CnnFaultModel::SingleBitFlip,
                        CnnFaultModel::RelativeError,
                        CnnFaultModel::TiledMxM}) {
-      const auto r =
-          nn::run_cnn_campaign(net, task, model, &db, n, 300 + which);
+      exec::EngineConfig ec;
+      ec.n_trials = n;
+      ec.seed = 300 + which;
+      const auto r = nn::run_cnn_campaign(net, task, model, &db, ec);
       t.add_row({net.name, std::string(cnn_fault_model_name(model)),
                  TextTable::num(r.pvf(), 3),
                  TextTable::num(r.critical_rate(), 3),

@@ -18,12 +18,14 @@ int main() {
   std::printf("LeNet holdout accuracy: %.1f%%  (%zu parameters)\n\n",
               100 * models.lenet_accuracy, models.lenet.total_params());
 
+  exec::EngineConfig ec;
+  ec.n_trials = 120;
+  ec.seed = 23;
   for (auto model : {nn::CnnFaultModel::SingleBitFlip,
                      nn::CnnFaultModel::RelativeError,
                      nn::CnnFaultModel::TiledMxM}) {
-    const auto r = nn::run_cnn_campaign(models.lenet,
-                                        nn::CnnTask::Classification, model,
-                                        &db, 120, 23);
+    const auto r = nn::run_cnn_campaign(
+        models.lenet, nn::CnnTask::Classification, model, &db, ec);
     std::printf("%-16s: PVF %.3f, critical (misclassification) %.3f",
                 std::string(cnn_fault_model_name(model)).c_str(), r.pvf(),
                 r.critical_rate());

@@ -526,7 +526,8 @@ int cmd_cnn(int argc, char** argv) {
   install_trace_sink(*o);
   const serve::CampaignSpec& spec = o->spec;
   serve::Caches caches(stderr_progress("campaigns"));
-  const auto r = serve::run_cnn_spec(spec, caches, nullptr);
+  const auto r = serve::run_cnn_spec(spec, caches,
+                                     stderr_progress("injections"), nullptr);
   std::printf("== %s under %s: %zu injections\n",
               spec.net == "lenet" ? "LeNet" : "YoloLite",
               std::string(nn::cnn_fault_model_name(

@@ -57,6 +57,15 @@ struct Progress {
 /// to print from. The final call always reports done == total.
 using ProgressFn = std::function<void(const Progress&)>;
 
+/// One contiguous chunk-aligned trial range — the fabric's unit of
+/// dispatch and retry (a pure function of (spec, seed, offset, count)).
+struct TrialRange {
+  std::size_t offset = 0;
+  std::size_t count = 0;
+
+  bool operator==(const TrialRange&) const = default;
+};
+
 /// Parameters shared by every campaign-shaped computation: how many
 /// independent trials, the campaign seed, and how wide to run.
 struct EngineConfig {
@@ -82,6 +91,14 @@ struct EngineConfig {
   /// the single-process chunk-order merge, byte for byte.
   std::size_t trial_offset = 0;
   std::size_t trial_total = 0;
+
+  /// Sets n_trials, trial_offset and trial_total to run `range` of a
+  /// campaign of `total` trials; an empty range runs the whole campaign.
+  void set_trials(std::size_t total, TrialRange range) {
+    n_trials = range.count == 0 ? total : range.count;
+    trial_offset = range.count == 0 ? 0 : range.offset;
+    trial_total = range.count == 0 ? 0 : total;
+  }
 };
 
 /// Resolves the user-facing jobs knob against the batch width: 0 becomes
@@ -98,15 +115,6 @@ unsigned resolve_jobs(unsigned jobs, std::size_t n_units);
 /// per-chunk work (a context, a metrics shard, a merge) and fixes the grid
 /// that fabric shards split on.
 std::size_t chunk_size(std::size_t n_trials);
-
-/// One contiguous chunk-aligned trial range — the fabric's unit of
-/// dispatch and retry (a pure function of (spec, seed, offset, count)).
-struct TrialRange {
-  std::size_t offset = 0;
-  std::size_t count = 0;
-
-  bool operator==(const TrialRange&) const = default;
-};
 
 /// Splits [0, n_trials) into at most `max_shards` contiguous ranges, each
 /// aligned to chunk_size(n_trials) boundaries, balanced to within one chunk.

@@ -295,7 +295,6 @@ void Coordinator::dispatch_loop() {
         req.n_shards = shard.n_shards;
         req.trial_offset = shard.range.offset;
         req.trial_count = shard.range.count;
-        req.final_payload = shard.final_payload;
         req.spec = it->second->spec;
         w.inflight = shard;
         w.dispatched_at = std::chrono::steady_clock::now();
@@ -427,24 +426,20 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
   obs::Span span("fabric.run_job");
   span.set("kind", serve::campaign_kind_name(spec.kind));
 
-  // Shard plan. Adaptive sw campaigns (spec.plan) are inherently
-  // sequential — the planner sizes each round from the last — and
-  // cnn campaigns use their own internal loop; both run as ONE shard whose
-  // payload is the public serialization, forwarded verbatim.
+  // Shard plan: chunk-aligned trial ranges. An adaptive sw campaign
+  // (spec.plan) is sequential — the planner sizes each round from the
+  // last — and a zero-trial campaign has no chunk to split; each runs as
+  // ONE range.
   const bool rtl_like = spec.kind == serve::CampaignKind::Rtl ||
                         spec.kind == serve::CampaignKind::Tmxm;
   const std::size_t n_trials = rtl_like ? spec.faults : spec.injections;
-  const bool single = spec.kind == serve::CampaignKind::Cnn ||
-                      !spec.plan.empty() || n_trials == 0;
   std::vector<exec::TrialRange> ranges;
-  if (single) {
-    ranges.push_back({0, n_trials});
-  } else {
-    const std::size_t max_shards =
-        static_cast<std::size_t>(std::max(1u, max_workers)) *
-        std::max(1u, cfg_.shards_per_worker);
-    ranges = exec::plan_shards(n_trials, max_shards);
-  }
+  if (spec.plan.empty())
+    ranges = exec::plan_shards(
+        n_trials, static_cast<std::size_t>(std::max(1u, max_workers)) *
+                      std::max(1u, cfg_.shards_per_worker));
+  const bool one_range = ranges.empty();
+  if (one_range) ranges.push_back({0, n_trials});
 
   std::shared_ptr<JobState> job;
   std::uint64_t id = 0;
@@ -472,8 +467,7 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
     job->n_shards = ranges.size();
     job->partials.resize(ranges.size());
     job->shard_done.assign(ranges.size(), 0);
-    job->final_payload = single;
-    job->total_trials = single ? 0 : n_trials;
+    job->total_trials = one_range ? 0 : n_trials;
     job->progress = progress;
     job->started = std::chrono::steady_clock::now();
     jobs_.emplace(id, job);
@@ -483,7 +477,6 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
       shard.index = static_cast<std::uint32_t>(i);
       shard.n_shards = static_cast<std::uint32_t>(ranges.size());
       shard.range = ranges[i];
-      shard.final_payload = single;
       pending_.push_back(shard);
     }
     cv_.notify_all();
@@ -524,13 +517,16 @@ std::string Coordinator::run_job(const serve::CampaignSpec& spec,
 }
 
 std::string Coordinator::merge_job(JobState& job) {
-  // Single-shard jobs already carry the public payload; forward it verbatim.
-  if (job.final_payload) return *job.partials[0];
+  // A planned campaign's one range already carries the public payload.
+  if (!job.spec.plan.empty()) return *job.partials[0];
   // Otherwise apply the same public serialization the offline path applies
   // to the exact in-memory result the shards reassemble.
   if (job.spec.kind == serve::CampaignKind::Sw)
     return serve::serialize_sw_result(
         merge_partials<swfi::Result>(job.partials, serve::decode_sw_result));
+  if (job.spec.kind == serve::CampaignKind::Cnn)
+    return serve::serialize_cnn_result(merge_partials<nn::CnnCampaignResult>(
+        job.partials, serve::decode_cnn_result));
   return serve::serialize_campaign_result(
       job.spec, merge_partials<rtlfi::CampaignResult>(job.partials,
                                                       decode_rtl_partial));

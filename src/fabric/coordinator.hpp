@@ -101,7 +101,6 @@ class Coordinator {
     std::uint32_t index = 0;
     std::uint32_t n_shards = 1;
     exec::TrialRange range;
-    bool final_payload = false;
     unsigned attempts = 0;
   };
 
@@ -109,9 +108,6 @@ class Coordinator {
     std::uint64_t id = 0;
     serve::CampaignSpec spec;
     std::size_t n_shards = 0;
-    /// One shard whose payload is the public Result (cnn, planned sw and
-    /// empty campaigns), forwarded verbatim instead of merged.
-    bool final_payload = false;
     std::size_t completed = 0;
     std::vector<std::optional<std::string>> partials;
     bool failed = false;

@@ -71,7 +71,6 @@ std::string encode_shard_request(const ShardRequest& r) {
   put_kv(out, "n_shards", r.n_shards);
   put_kv(out, "offset", r.trial_offset);
   put_kv(out, "count", r.trial_count);
-  put_kv(out, "final", r.final_payload ? 1 : 0);
   out += kSpecMarker;
   out += '\n';
   out += serve::encode_spec(r.spec);
@@ -88,7 +87,6 @@ std::optional<ShardRequest> decode_shard_request(std::string_view payload,
   r.n_shards = c.take<std::uint32_t>("n_shards");
   r.trial_offset = c.take("offset");
   r.trial_count = c.take("count");
-  r.final_payload = c.take("final") != 0;
   if (c.ok && !c.rest.empty()) c.fail("unexpected shard-request key");
   if (c.ok) {
     std::string spec_err;

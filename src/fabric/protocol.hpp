@@ -10,11 +10,13 @@
 //  * Control messages (Hello, ShardRequest, ...) — deterministic
 //    "key=value\n" text like the rest of the serve protocol.
 //
-//  * Shard partials — what a worker ships back for a non-final shard. A sw
-//    shard ships the public sw result (serve::serialize_sw_result): its
-//    five counters are all of swfi::Result, so serve::decode_sw_result
-//    reads it back whole and the coordinator merges from it. An rtl or
-//    tmxm shard cannot: the public payload (serialize_campaign_result)
+//  * Shard partials — what a worker ships back for a shard. A sw or cnn
+//    shard ships the public result of its range (serve::run_spec): its
+//    counters are all of swfi::Result or nn::CnnCampaignResult, so
+//    serve::decode_sw_result / decode_cnn_result read it back whole and
+//    the coordinator merges from it; a planned sw campaign runs as one
+//    range whose public payload is forwarded as is. An rtl or tmxm shard
+//    cannot: the public payload (serialize_campaign_result)
 //    drops FaultSpec temporal fields and distills the syndrome DB from the
 //    in-memory result. So rtl ships the LOSSLESS partial below, which
 //    round-trips every field of rtlfi::CampaignResult bit for bit (doubles
@@ -42,8 +44,10 @@ namespace gpufi::fabric {
 /// merge. v3: a planned sw spec stops on the stratified PVF half-width, so a
 /// v2 worker would answer it under the old per-stratum stop rule. v4: a sw
 /// shard ships the public sw result instead of the old sw partial, which a
-/// v3 worker would still send.
-inline constexpr std::uint32_t kFabricProtocolVersion = 4;
+/// v3 worker would still send. v5: cnn campaigns shard by trial range on
+/// per-trial streams and the shard request lost its `final` key, so a v4
+/// worker would answer cnn under the old single stream.
+inline constexpr std::uint32_t kFabricProtocolVersion = 5;
 
 // ---------------------------------------------------------------------------
 // Control messages.
@@ -66,11 +70,6 @@ struct ShardRequest {
   std::uint32_t n_shards = 1;
   std::uint64_t trial_offset = 0;
   std::uint64_t trial_count = 0;
-  /// True = run the WHOLE spec and return the public Result payload
-  /// verbatim (single-shard jobs: cnn campaigns and planned sw campaigns,
-  /// whose adaptive loop is inherently sequential). False = run only
-  /// [trial_offset, trial_offset+trial_count) and return a partial codec.
-  bool final_payload = false;
   serve::CampaignSpec spec;
 };
 
@@ -79,7 +78,7 @@ std::optional<ShardRequest> decode_shard_request(std::string_view payload,
                                                  std::string* error = nullptr);
 
 /// Shard completion (FrameType::ShardResult payload): header + raw result
-/// bytes (a partial codec, or the public payload for final_payload shards).
+/// bytes (the shard's partial).
 struct ShardResultMsg {
   std::uint64_t job = 0;
   std::uint32_t shard_index = 0;

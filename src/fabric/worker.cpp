@@ -127,20 +127,16 @@ std::string Worker::execute(const ShardRequest& req) {
     m.total = p.total;
     send(serve::FrameType::ShardProgress, encode_shard_progress(m));
   };
-  // Single-shard jobs return the public Result payload verbatim — the
-  // coordinator forwards it byte-for-byte, so these are identical to the
-  // in-daemon run by construction.
-  if (req.final_payload)
-    return serve::run_spec(spec, caches_, progress, nullptr);
-  // Any other shard runs its trial range and ships the partial the
-  // coordinator merges: the public sw result, or the lossless rtl partial.
-  // caches_ is the per-worker golden and DB tier.
+  // A shard runs its trial range and ships the partial the coordinator
+  // merges: the lossless rtl partial, or the public payload of the range
+  // (sw and cnn; a planned sw campaign runs whole). caches_ is the
+  // per-worker golden and DB tier.
   const exec::TrialRange shard{req.trial_offset, req.trial_count};
-  if (spec.kind == serve::CampaignKind::Sw)
-    return serve::serialize_sw_result(
-        serve::run_sw_spec(spec, caches_, progress, nullptr, shard));
-  return encode_rtl_partial(
-      serve::run_rtl_spec(spec, caches_, progress, nullptr, shard));
+  if (spec.kind == serve::CampaignKind::Rtl ||
+      spec.kind == serve::CampaignKind::Tmxm)
+    return encode_rtl_partial(
+        serve::run_rtl_spec(spec, caches_, progress, nullptr, shard));
+  return serve::run_spec(spec, caches_, progress, nullptr, shard);
 }
 
 void Worker::run_loop() {

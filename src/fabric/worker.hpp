@@ -66,8 +66,8 @@ class Worker {
  private:
   void run_loop();
   void heartbeat_loop();
-  /// Executes one shard; returns the result payload (partial codec, or the
-  /// public Result payload for final_payload shards).
+  /// Executes one shard; returns its result payload: the lossless rtl
+  /// partial for rtl and tmxm, the public payload of its range otherwise.
   std::string execute(const ShardRequest& req);
   bool send(serve::FrameType type, std::string payload);
 

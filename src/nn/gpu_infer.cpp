@@ -231,23 +231,29 @@ std::string_view cnn_fault_model_name(CnnFaultModel m) {
   return "?";
 }
 
+void CnnCampaignResult::merge(const CnnCampaignResult& other) {
+  injections += other.injections;
+  masked += other.masked;
+  sdc += other.sdc;
+  critical += other.critical;
+  due += other.due;
+}
+
 CnnCampaignResult run_cnn_campaign(const Network& net, CnnTask task,
                                    CnnFaultModel model,
                                    const syndrome::Database* db,
-                                   std::size_t n_injections,
-                                   std::uint64_t seed) {
-  CnnCampaignResult result;
+                                   const exec::EngineConfig& cfg) {
+  if (model == CnnFaultModel::TiledMxM && !db)
+    throw std::invalid_argument(
+        "t-MxM CNN campaign needs a syndrome database");
   GpuInference infer(net);
 
   // Fixed deterministic input (one inference per injection, as NVBitFI
   // evaluates one application execution per fault).
   Rng input_rng(0xCAFE);
-  Tensor input;
-  if (task == CnnTask::Classification) {
-    input = make_digit(input_rng).image;
-  } else {
-    input = make_scene(input_rng).image;
-  }
+  const Tensor input = task == CnnTask::Classification
+                           ? make_digit(input_rng).image
+                           : make_scene(input_rng).image;
 
   // Golden run: profile (for injection targeting) + reference output.
   swfi::ProfileHook profile;
@@ -262,49 +268,46 @@ CnnCampaignResult run_cnn_campaign(const Network& net, CnnTask task,
                                ? decode_detections(*golden)
                                : std::vector<Detection>{};
 
-  Rng rng(seed);
-  for (std::size_t i = 0; i < n_injections; ++i) {
-    emu::Device dev(infer.device_words());
-    InferOptions opts;
-    std::optional<swfi::InjectHook> hook;
-    TileFault tf;
-    if (model == CnnFaultModel::TiledMxM) {
-      // Random layer, random tile, RTL-characterized pattern + errors.
-      tf.layer = static_cast<unsigned>(rng.below(infer.gemm_layers()));
-      const auto [tm, tn] = infer.layer_tiles(tf.layer);
-      tf.tile_row = static_cast<unsigned>(rng.below(tm));
-      tf.tile_col = static_cast<unsigned>(rng.below(tn));
-      tf.sign_seed = rng();
-      tf.corruption = db ? db->sample_tile_corruption(8, 8, rng)
-                         : syndrome::TileCorruption{};
-      opts.tile_fault = &tf;
-    } else {
-      const auto target = rng.below(profile.candidates());
-      hook.emplace(model == CnnFaultModel::SingleBitFlip
-                       ? swfi::FaultModel::SingleBitFlip
-                       : swfi::FaultModel::RelativeError,
-                   target, rng(), db, true);
-      opts.hook = &*hook;
-    }
-    const auto out = infer.run(dev, input, opts);
-    ++result.injections;
-    if (!out) {
-      ++result.due;
-      continue;
-    }
-    if (*out == *golden) {
-      ++result.masked;
-      continue;
-    }
-    ++result.sdc;
-    if (task == CnnTask::Classification) {
-      if (classify(*out) != golden_class) ++result.critical;
-    } else {
-      if (!detections_match(decode_detections(*out), golden_dets))
-        ++result.critical;
-    }
-  }
-  return result;
+  return exec::run_trials<CnnCampaignResult>(
+      cfg,
+      [&] { return emu::Device(infer.device_words()); },
+      [&](emu::Device& dev, std::size_t, Rng& rng, CnnCampaignResult& shard) {
+        dev.reset();
+        InferOptions opts;
+        std::optional<swfi::InjectHook> hook;
+        TileFault tf;
+        if (model == CnnFaultModel::TiledMxM) {
+          // Random layer, random tile, RTL-characterized pattern + errors.
+          tf.layer = static_cast<unsigned>(rng.below(infer.gemm_layers()));
+          const auto [tm, tn] = infer.layer_tiles(tf.layer);
+          tf.tile_row = static_cast<unsigned>(rng.below(tm));
+          tf.tile_col = static_cast<unsigned>(rng.below(tn));
+          tf.sign_seed = rng();
+          tf.corruption = db->sample_tile_corruption(8, 8, rng);
+          opts.tile_fault = &tf;
+        } else {
+          const auto target = rng.below(profile.candidates());
+          hook.emplace(model == CnnFaultModel::SingleBitFlip
+                           ? swfi::FaultModel::SingleBitFlip
+                           : swfi::FaultModel::RelativeError,
+                       target, rng(), db, true);
+          opts.hook = &*hook;
+        }
+        const auto out = infer.run(dev, input, opts);
+        ++shard.injections;
+        if (!out) {
+          ++shard.due;
+        } else if (*out == *golden) {
+          ++shard.masked;
+        } else {
+          ++shard.sdc;
+          const bool critical =
+              task == CnnTask::Classification
+                  ? classify(*out) != golden_class
+                  : !detections_match(decode_detections(*out), golden_dets);
+          if (critical) ++shard.critical;
+        }
+      });
 }
 
 }  // namespace gpufi::nn

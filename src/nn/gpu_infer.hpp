@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "emu/device.hpp"
+#include "exec/engine.hpp"
 #include "nn/network.hpp"
 #include "syndrome/syndrome.hpp"
 
@@ -92,18 +93,24 @@ struct CnnCampaignResult {
     return injections == 0 ? 0.0
                            : static_cast<double>(critical) / injections;
   }
+
+  /// Accumulates another (partial) campaign's counters.
+  void merge(const CnnCampaignResult& other);
 };
 
 /// Task of the network under test (decides the criticality criterion).
 enum class CnnTask : std::uint8_t { Classification, Detection };
 
 /// Runs a CNN fault-injection campaign on a fixed deterministic input:
-/// one corrupted inference per injection, classified against the golden
-/// run (SDC = raw output mismatch; critical = decision change).
+/// one corrupted inference per trial of `cfg` (exec::run_trials: trial i
+/// draws from Rng(rng_derive(cfg.seed, i)), each chunk reuses one device),
+/// classified against the golden run (SDC = raw output mismatch; critical =
+/// decision change). TiledMxM samples its tile patterns from `db` and
+/// throws std::invalid_argument without one; RelativeError samples its
+/// syndromes from `db` when given one.
 CnnCampaignResult run_cnn_campaign(const Network& net, CnnTask task,
                                    CnnFaultModel model,
                                    const syndrome::Database* db,
-                                   std::size_t n_injections,
-                                   std::uint64_t seed);
+                                   const exec::EngineConfig& cfg);
 
 }  // namespace gpufi::nn

@@ -325,16 +325,12 @@ CampaignResult run_campaign(const Workload& w, const CampaignConfig& cfg,
       cfg.acceleration != Acceleration::None ? golden.trace.get() : nullptr;
 
   exec::EngineConfig ec;
-  ec.n_trials = cfg.shard_count == 0 ? cfg.n_faults : cfg.shard_count;
+  ec.set_trials(cfg.n_faults, {cfg.shard_offset, cfg.shard_count});
   ec.seed = cfg.seed;
   ec.jobs = cfg.jobs;
   ec.progress = cfg.progress;
   ec.progress_interval = cfg.progress_interval;
   ec.cancel = cfg.cancel;
-  if (cfg.shard_count != 0) {
-    ec.trial_offset = cfg.shard_offset;
-    ec.trial_total = cfg.n_faults;
-  }
   CampaignResult result = exec::run_trials<CampaignResult>(
       ec, [] { return std::make_unique<rtl::Sm>(); },
       [&](std::unique_ptr<rtl::Sm>& sm, std::size_t, Rng& rng,

@@ -501,4 +501,22 @@ std::string serialize_cnn_result(const nn::CnnCampaignResult& r) {
   return out;
 }
 
+std::optional<nn::CnnCampaignResult> decode_cnn_result(
+    std::string_view payload, std::string* error) {
+  kv::Cursor c{payload};
+  nn::CnnCampaignResult r;
+  if (c.take_kv("kind") != "cnn") c.fail("not a cnn result");
+  r.injections = c.take<std::size_t>("injections");
+  r.masked = c.take<std::size_t>("masked");
+  r.sdc = c.take<std::size_t>("sdc");
+  r.critical = c.take<std::size_t>("critical");
+  r.due = c.take<std::size_t>("due");
+  if (c.ok && !c.rest.empty()) c.fail("trailing cnn result bytes");
+  if (!c.ok) {
+    if (error) *error = c.error;
+    return std::nullopt;
+  }
+  return r;
+}
+
 }  // namespace gpufi::serve

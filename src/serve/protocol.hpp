@@ -235,7 +235,13 @@ std::optional<swfi::Result> decode_sw_result(std::string_view payload,
 /// candidates, budget share, trials, outcomes, stop, Wilson half-width).
 std::string serialize_planned_sw_result(const swfi::PlanResult& r);
 
-/// CNN campaign counters (criticality split included).
+/// CNN campaign counters (criticality split included): every field of
+/// nn::CnnCampaignResult, so the payload is also the fabric's cnn shard
+/// partial.
 std::string serialize_cnn_result(const nn::CnnCampaignResult& r);
+
+/// Strict parse of serialize_cnn_result's bytes, as decode_sw_result.
+std::optional<nn::CnnCampaignResult> decode_cnn_result(
+    std::string_view payload, std::string* error = nullptr);
 
 }  // namespace gpufi::serve

@@ -136,30 +136,41 @@ swfi::PlanResult run_planned_sw_spec(const CampaignSpec& spec, Caches& caches,
 }
 
 nn::CnnCampaignResult run_cnn_spec(const CampaignSpec& spec, Caches& caches,
-                                   const exec::CancelToken* cancel) {
+                                   const exec::ProgressFn& progress,
+                                   const exec::CancelToken* cancel,
+                                   exec::TrialRange shard) {
   require_spec(spec, spec.kind == CampaignKind::Cnn,
                "expected a cnn campaign spec");
   const auto db = syndrome_db_for_spec(spec, caches);
   const auto models = core::ensure_models(spec.models_dir);
   throw_if_stopped(cancel);
+  exec::EngineConfig ec;
+  ec.set_trials(spec.injections, shard);
+  ec.seed = spec.seed;
+  ec.jobs = spec.jobs;
+  ec.progress = progress;
+  ec.progress_interval = spec.progress_interval;
+  ec.cancel = cancel;
   const bool lenet = spec.net == "lenet";
   auto r = nn::run_cnn_campaign(
       lenet ? models.lenet : models.yololite,
       lenet ? nn::CnnTask::Classification : nn::CnnTask::Detection,
-      *vocab::parse_cnn_model(spec.model), db.get(), spec.injections,
-      spec.seed);
+      *vocab::parse_cnn_model(spec.model), db.get(), ec);
   throw_if_stopped(cancel);
   return r;
 }
 
 std::shared_ptr<const syndrome::Database> syndrome_db_for_spec(
     const CampaignSpec& spec, Caches& caches) {
-  bool replays = spec.kind == CampaignKind::Cnn;
+  bool replays = false;
   if (spec.kind == CampaignKind::Sw) {
     const auto model = vocab::parse_sw_model(spec.model);
     replays = model == swfi::FaultModel::RelativeError ||
               model == swfi::FaultModel::WarpRelativeError ||
               model == swfi::FaultModel::StickyRelativeError;
+  } else if (spec.kind == CampaignKind::Cnn) {
+    replays = vocab::parse_cnn_model(spec.model) !=
+              nn::CnnFaultModel::SingleBitFlip;
   }
   return replays ? caches.syndrome_db(spec.db_path, spec.jobs) : nullptr;
 }
@@ -187,21 +198,24 @@ core::ReportConfig report_config_for_spec(const CampaignSpec& spec,
 
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
-                     const exec::CancelToken* cancel) {
+                     const exec::CancelToken* cancel,
+                     exec::TrialRange shard) {
   obs::Span span("serve.run_spec");
   span.set("kind", campaign_kind_name(spec.kind));
   switch (spec.kind) {
     case CampaignKind::Rtl:
     case CampaignKind::Tmxm:
       return serialize_campaign_result(
-          spec, run_rtl_spec(spec, caches, progress, cancel));
+          spec, run_rtl_spec(spec, caches, progress, cancel, shard));
     case CampaignKind::Sw:
       if (!spec.plan.empty())
         return serialize_planned_sw_result(
             run_planned_sw_spec(spec, caches, progress, cancel));
-      return serialize_sw_result(run_sw_spec(spec, caches, progress, cancel));
+      return serialize_sw_result(
+          run_sw_spec(spec, caches, progress, cancel, shard));
     case CampaignKind::Cnn:
-      return serialize_cnn_result(run_cnn_spec(spec, caches, cancel));
+      return serialize_cnn_result(
+          run_cnn_spec(spec, caches, progress, cancel, shard));
   }
   throw std::logic_error("unreachable campaign kind");
 }

@@ -104,11 +104,14 @@ swfi::PlanResult run_planned_sw_spec(const CampaignSpec& spec, Caches& caches,
 
 /// cnn campaigns.
 nn::CnnCampaignResult run_cnn_spec(const CampaignSpec& spec, Caches& caches,
-                                   const exec::CancelToken* cancel);
+                                   const exec::ProgressFn& progress,
+                                   const exec::CancelToken* cancel,
+                                   exec::TrialRange shard = {});
 
 /// The syndrome-DB policy: the database at spec.db_path for the sw models
-/// that replay syndromes (syndrome, warp, sticky) and for every cnn model;
-/// null otherwise. Loads (or builds) it once through `caches`.
+/// that replay syndromes (syndrome, warp, sticky) and the cnn models that
+/// sample it (syndrome, tmxm); null otherwise. Loads (or builds) it once
+/// through `caches`.
 std::shared_ptr<const syndrome::Database> syndrome_db_for_spec(
     const CampaignSpec& spec, Caches& caches);
 
@@ -118,11 +121,13 @@ core::ReportConfig report_config_for_spec(const CampaignSpec& spec,
                                           const exec::CancelToken* cancel);
 
 /// Runs one campaign spec through its runner and returns the deterministic
-/// Result payload. `progress`/`cancel` may be empty/null. Throws on failure,
+/// Result payload. `progress`/`cancel` may be empty/null. `shard` reaches
+/// the runners that take one (planned sw runs whole). Throws on failure,
 /// including when `cancel` stopped the campaign.
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
-                     const exec::CancelToken* cancel);
+                     const exec::CancelToken* cancel,
+                     exec::TrialRange shard = {});
 
 /// The offline reference path: the same runners with fresh caches and no
 /// hooks. The CLI runs the same runners, and the byte-identity tests

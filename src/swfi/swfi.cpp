@@ -334,16 +334,12 @@ Result run_sw_campaign(const App& app, const Config& cfg, bool replay) {
   const Golden golden = run_golden(app, cfg.interpreter);
 
   exec::EngineConfig ec;
-  ec.n_trials = cfg.shard_count == 0 ? cfg.n_injections : cfg.shard_count;
+  ec.set_trials(cfg.n_injections, {cfg.shard_offset, cfg.shard_count});
   ec.seed = cfg.seed;
   ec.jobs = cfg.jobs;
   ec.progress = cfg.progress;
   ec.progress_interval = cfg.progress_interval;
   ec.cancel = cfg.cancel;
-  if (cfg.shard_count != 0) {
-    ec.trial_offset = cfg.shard_offset;
-    ec.trial_total = cfg.n_injections;
-  }
   Result result = exec::run_trials<Result>(
       ec,
       [&] {

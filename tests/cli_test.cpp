@@ -75,9 +75,9 @@ const std::vector<Case>& cases() {
        {"report", "FFMA", "all", "--faults", "24", "--seed", "7"}},
       {"report_no_module", 0, "report_no_module.txt",
        {"report", "FADD", "--faults", "12", "--seed", "3"}},
-      // Runtime failure (exit 1): the committed LeNet weights do not load.
-      {"cnn_lenet_bitflip", 1, "empty.txt",
+      {"cnn_lenet_bitflip", 0, "cnn_lenet_bitflip.txt",
        {"cnn", "lenet", "bitflip", "--injections", "4"}},
+      // Runtime failure (exit 1): no daemon listens on the socket.
       {"submit_unreachable", 1, "empty.txt",
        {"submit", "rtl", "FFMA", "fp32", "--faults", "8", "--socket",
         "no_such_dir/gpufi.sock"}},

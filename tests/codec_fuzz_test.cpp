@@ -1,8 +1,8 @@
 // Deterministic mutation fuzzing of every decoder on a process or file
 // boundary: serve frames, specs, progress and stats payloads, every fabric
-// control message, the lossless rtl partial and the sw result (the sw shard
-// partial), the --plan vocabulary, the endpoint grammar and the syndrome
-// database.
+// control message, the lossless rtl partial, the sw and cnn results (the sw
+// and cnn shard partials), the --plan vocabulary, the endpoint grammar and
+// the syndrome database.
 //
 // Each decoder starts from one golden encoding. From one fixed seed, every
 // mutant applies one or two of: a bit flip, a byte replaced from the
@@ -108,6 +108,16 @@ swfi::Result sw_result() {
   return r;
 }
 
+nn::CnnCampaignResult cnn_result() {
+  nn::CnnCampaignResult r;
+  r.injections = 12;
+  r.masked = 7;
+  r.sdc = 4;
+  r.critical = 2;
+  r.due = 1;
+  return r;
+}
+
 std::string db_text() {
   rtlfi::CampaignResult r;
   std::uint32_t index = 0;
@@ -194,6 +204,10 @@ std::vector<Codec> codecs() {
       {"sw_result", serve::serialize_sw_result(sw_result()),
        via([](std::string_view b) { return serve::decode_sw_result(b); },
            serve::serialize_sw_result)});
+  all.push_back(
+      {"cnn_result", serve::serialize_cnn_result(cnn_result()),
+       via([](std::string_view b) { return serve::decode_cnn_result(b); },
+           serve::serialize_cnn_result)});
   all.push_back({"plan", plan_text({0.05, 16, 90}),
                  via([](std::string_view b) { return vocab::parse_plan(b); },
                      plan_text)});

@@ -59,6 +59,21 @@ serve::CampaignSpec sw_spec() {
   return spec;
 }
 
+/// A multi-shard cnn t-MxM spec over the committed weights and DB: 33
+/// injections = chunks of 16, 16 and 1.
+serve::CampaignSpec cnn_spec() {
+  serve::CampaignSpec spec;
+  spec.kind = serve::CampaignKind::Cnn;
+  spec.net = "lenet";
+  spec.model = "tmxm";
+  spec.injections = 33;
+  spec.seed = 3;
+  spec.jobs = 1;
+  spec.db_path = GPUFI_TEST_DATA_DIR "/syndromes.db";
+  spec.models_dir = GPUFI_TEST_DATA_DIR;
+  return spec;
+}
+
 /// A coordinator listening on a unix socket in the test cwd plus `n`
 /// in-process workers, started and registered before the constructor
 /// returns. Teardown order (workers, then coordinator) is the destructor.
@@ -193,7 +208,6 @@ TEST(Protocol, ControlMessagesRoundTrip) {
   req.n_shards = 6;
   req.trial_offset = 32;
   req.trial_count = 16;
-  req.final_payload = false;
   req.spec = rtl_spec();
   const auto rd = decode_shard_request(encode_shard_request(req));
   ASSERT_TRUE(rd);
@@ -202,7 +216,6 @@ TEST(Protocol, ControlMessagesRoundTrip) {
   EXPECT_EQ(rd->n_shards, 6u);
   EXPECT_EQ(rd->trial_offset, 32u);
   EXPECT_EQ(rd->trial_count, 16u);
-  EXPECT_FALSE(rd->final_payload);
   EXPECT_EQ(serve::encode_spec(rd->spec), serve::encode_spec(req.spec));
 
   // Result/error payloads are raw bytes: embedded newlines and the marker
@@ -286,12 +299,12 @@ TEST(Protocol, PartialDecodersRejectGarbage) {
   // Shard positions past 32 bits are rejected, not truncated.
   const std::string spec = "--- spec ---\nkind=rtl\n";
   EXPECT_TRUE(decode_shard_request(
-      "job=1\nshard=0\nn_shards=1\noffset=0\ncount=0\nfinal=1\n" + spec));
+      "job=1\nshard=0\nn_shards=1\noffset=0\ncount=0\n" + spec));
   EXPECT_FALSE(decode_shard_request(
-      "job=1\nshard=4294967296\nn_shards=1\noffset=0\ncount=0\nfinal=1\n" +
+      "job=1\nshard=4294967296\nn_shards=1\noffset=0\ncount=0\n" +
       spec));
   EXPECT_FALSE(decode_shard_request(
-      "job=1\nshard=0\nn_shards=4294967297\noffset=0\ncount=0\nfinal=1\n" +
+      "job=1\nshard=0\nn_shards=4294967297\noffset=0\ncount=0\n" +
       spec));
   // A sw result holds its keys in serialize_sw_result's order, once each,
   // and nothing after them; a count past 64 bits is rejected, not wrapped.
@@ -314,6 +327,22 @@ TEST(Protocol, PartialDecodersRejectGarbage) {
       &error));
   EXPECT_FALSE(
       serve::decode_sw_result(sw("3", "candidates=9\nx"), &error));  // trailing
+  // A cnn result follows the same rules, with its own kind and keys.
+  const auto cnn = [](std::string_view tail) {
+    return "kind=cnn\ninjections=3\nmasked=1\nsdc=1\n" + std::string(tail);
+  };
+  EXPECT_TRUE(serve::decode_cnn_result(cnn("critical=1\ndue=1\n"), &error))
+      << error;
+  EXPECT_FALSE(serve::decode_cnn_result(
+      cnn("critical=18446744073709551616\ndue=1\n"), &error));
+  EXPECT_FALSE(serve::decode_cnn_result(cnn("critical=1\n"), &error));
+  EXPECT_FALSE(serve::decode_cnn_result(
+      cnn("critical=1\ndue=1\ndue=1\n"), &error));  // repeated
+  EXPECT_FALSE(serve::decode_cnn_result(
+      cnn("due=1\ncritical=1\n"), &error));  // out of order
+  EXPECT_FALSE(serve::decode_cnn_result(
+      cnn("critical=1\ndue=1\nx"), &error));  // trailing
+  EXPECT_FALSE(serve::decode_cnn_result(sw("3", "candidates=9\n"), &error));
   const auto rtl_partial = [](const char* bit) {
     std::string p =
         "v=1\ninjected=1\nmasked=0\nsdc_single=1\nsdc_multi=0\ndue=0\n"
@@ -338,12 +367,21 @@ TEST(Protocol, SpecWorkersFieldRoundTrips) {
 
 TEST(Fabric, RtlByteIdenticalAcrossWorkerCounts) {
   // The rtl spec merges lossless rtl partials; a bitflip and a syndrome sw
-  // spec merge public sw results.
+  // spec merge public sw results, and a cnn t-MxM spec public cnn results.
+  // A zero-trial spec of each kind runs as one empty range, merged like any
+  // other, so what the golden run alone decides must survive the merge.
   auto syndrome = sw_spec();
   syndrome.model = "syndrome";
   syndrome.db_path = GPUFI_TEST_DATA_DIR "/syndromes.db";
-  const std::vector<serve::CampaignSpec> specs{rtl_spec(), sw_spec(),
-                                               syndrome};
+  std::vector<serve::CampaignSpec> specs{rtl_spec(), sw_spec(), syndrome,
+                                         cnn_spec()};
+  auto rtl_empty = rtl_spec();
+  rtl_empty.faults = 0;
+  auto sw_empty = sw_spec();
+  sw_empty.injections = 0;
+  auto cnn_empty = cnn_spec();
+  cnn_empty.injections = 0;
+  specs.insert(specs.end(), {rtl_empty, sw_empty, cnn_empty});
   std::vector<std::string> offline;
   for (const auto& spec : specs)
     offline.push_back(serve::run_spec_offline(spec));
@@ -392,7 +430,7 @@ TEST(Fabric, SwAndTmxmCampaignsByteIdentical) {
 
 TEST(Fabric, PlannedSwCampaignRunsAsSingleShard) {
   // The adaptive planner's trial loop is sequential by construction, so the
-  // fabric must NOT split it: one final_payload shard, bytes still equal.
+  // fabric must NOT split it: one range, its payload forwarded as is.
   Fleet fleet("fab_planned.sock", 2);
   auto spec = sw_spec();
   spec.plan = "target_err=0.2,min_trials=8";

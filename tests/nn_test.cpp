@@ -8,7 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "nn/gpu_infer.hpp"
 #include "nn/network.hpp"
@@ -94,10 +96,22 @@ TEST(Network, SerializationRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(Network, LoadRejectsTheCommittedStaleWeights) {
-  // Written by an older layout: parsed today, its first conv declares
-  // 1,946,157,056 weights.
-  expect_load_rejects(GPUFI_TEST_DATA_DIR "/lenet.gfnn");
+TEST(Network, CommittedWeightsLoad) {
+  // gpufi_data/ holds the trained weights core::ensure_models writes by
+  // default, in today's layout: `gpufi cnn` and the CNN benches run on them.
+  const auto lenet = Network::load_file(GPUFI_TEST_DATA_DIR "/lenet.gfnn");
+  ASSERT_EQ(lenet.convs.size(), 2u);
+  ASSERT_EQ(lenet.fcs.size(), 3u);
+  Rng rng(777);
+  unsigned correct = 0;
+  for (unsigned i = 0; i < 100; ++i) {
+    const auto s = make_digit(rng);
+    correct += classify(host_forward(lenet, s.image)) == s.label;
+  }
+  EXPECT_GE(correct, 90u);
+  const auto yolo = Network::load_file(GPUFI_TEST_DATA_DIR "/yololite.gfnn");
+  EXPECT_EQ(yolo.convs.size(), 3u);
+  EXPECT_TRUE(yolo.fcs.empty());
 }
 
 TEST(Network, LoadRejectsATruncatedFile) {
@@ -251,13 +265,28 @@ TEST(GpuInference, TileFaultCorruptsOutput) {
   EXPECT_NE(*golden, *faulty);
 }
 
+/// An engine config of `n` trials from `seed`, `jobs` wide.
+exec::EngineConfig trials(std::size_t n, std::uint64_t seed,
+                          unsigned jobs = 1) {
+  exec::EngineConfig cfg;
+  cfg.n_trials = n;
+  cfg.seed = seed;
+  cfg.jobs = jobs;
+  return cfg;
+}
+
+/// Every counter of a CNN campaign result, for whole-result comparisons.
+auto counts(const CnnCampaignResult& r) {
+  return std::tuple(r.injections, r.masked, r.sdc, r.critical, r.due);
+}
+
 TEST(CnnCampaign, BitFlipCountsConsistent) {
   Rng rng(9);
   auto net = make_lenet(rng);
   (void)train_lenet(net, rng, 300);
   const auto r = run_cnn_campaign(net, CnnTask::Classification,
-                                  CnnFaultModel::SingleBitFlip, nullptr, 25,
-                                  77);
+                                  CnnFaultModel::SingleBitFlip, nullptr,
+                                  trials(25, 77));
   EXPECT_EQ(r.injections, 25u);
   EXPECT_EQ(r.masked + r.sdc + r.due, r.injections);
   EXPECT_LE(r.critical, r.sdc);
@@ -267,13 +296,53 @@ TEST(CnnCampaign, TileModelProducesCriticalsOnLeNet) {
   Rng rng(10);
   auto net = make_lenet(rng);
   (void)train_lenet(net, rng, 800);
-  // Untrained DB falls back to single-element corruption; supply a crafted
-  // whole-tile database instead via nullptr + explicit check elsewhere.
+  // Tile patterns and errors come from the committed RTL characterization.
+  const auto db =
+      syndrome::Database::load_file(GPUFI_TEST_DATA_DIR "/syndromes.db");
   const auto r = run_cnn_campaign(net, CnnTask::Classification,
-                                  CnnFaultModel::TiledMxM, nullptr, 40, 78);
-  EXPECT_EQ(r.injections, 40u);
-  // Even single-element tile corruption must at least produce SDCs.
-  EXPECT_GT(r.sdc + r.masked, 0u);
+                                  CnnFaultModel::TiledMxM, &db,
+                                  trials(100, 78));
+  EXPECT_EQ(r.injections, 100u);
+  EXPECT_GT(r.sdc, 0u);
+  EXPECT_GT(r.critical, 0u);
+  EXPECT_LE(r.critical, r.sdc);
+}
+
+TEST(CnnCampaign, TileModelWithoutDatabaseThrows) {
+  Rng rng(11);
+  const auto net = make_lenet(rng);
+  EXPECT_THROW(run_cnn_campaign(net, CnnTask::Classification,
+                                CnnFaultModel::TiledMxM, nullptr,
+                                trials(1, 1)),
+               std::invalid_argument);
+}
+
+TEST(CnnCampaign, ResultsAreIdenticalAcrossJobsAndTrialRanges) {
+  // 33 trials form chunks of 16, 16 and 1, so jobs 2 and 4 interleave the
+  // chunks differently and [0, 16) + [16, 33) is a chunk-aligned split.
+  const auto net = Network::load_file(GPUFI_TEST_DATA_DIR "/lenet.gfnn");
+  const auto db =
+      syndrome::Database::load_file(GPUFI_TEST_DATA_DIR "/syndromes.db");
+  for (const auto model :
+       {CnnFaultModel::SingleBitFlip, CnnFaultModel::TiledMxM}) {
+    const auto run = [&](exec::EngineConfig cfg) {
+      return run_cnn_campaign(net, CnnTask::Classification, model, &db, cfg);
+    };
+    const auto whole = run(trials(33, 5));
+    EXPECT_EQ(whole.injections, 33u);
+    EXPECT_LT(whole.masked, whole.injections) << "nothing to compare";
+    for (const unsigned jobs : {2u, 4u})
+      EXPECT_EQ(counts(run(trials(33, 5, jobs))), counts(whole))
+          << cnn_fault_model_name(model) << " at jobs " << jobs;
+    auto head = trials(16, 5);
+    head.trial_total = 33;
+    auto tail = trials(17, 5, 2);
+    tail.trial_offset = 16;
+    tail.trial_total = 33;
+    auto merged = run(head);
+    merged.merge(run(tail));
+    EXPECT_EQ(counts(merged), counts(whole)) << cnn_fault_model_name(model);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -51,6 +52,20 @@ CampaignSpec small_rtl_spec() {
   spec.faults = 30;
   spec.seed = 7;
   spec.jobs = 1;
+  return spec;
+}
+
+/// A small cnn spec over the committed weights and syndrome DB.
+CampaignSpec small_cnn_spec() {
+  CampaignSpec spec;
+  spec.kind = CampaignKind::Cnn;
+  spec.net = "lenet";
+  spec.model = "tmxm";
+  spec.injections = 20;
+  spec.seed = 5;
+  spec.jobs = 1;
+  spec.db_path = GPUFI_TEST_DATA_DIR "/syndromes.db";
+  spec.models_dir = GPUFI_TEST_DATA_DIR;
   return spec;
 }
 
@@ -569,6 +584,72 @@ TEST(Serve, ServedSwCampaignMatchesOffline) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.result, offline);
   server.shutdown(true);
+}
+
+TEST(Serve, ServedCnnCampaignMatchesOffline) {
+  const auto spec = small_cnn_spec();
+  const std::string offline = run_spec_offline(spec);
+
+  ServerConfig cfg;
+  cfg.socket_path = "serve_cnn.sock";
+  cfg.workers = 1;
+  Server server(cfg);
+  server.start();
+  const auto outcome = submit_campaign(cfg.socket_path, spec);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.result, offline);
+  server.shutdown(true);
+}
+
+TEST(Serve, CnnBitFlipSpecLoadsNoSyndromeDatabase) {
+  // Bit-flip hooks never read the DB: a missing db_path is neither built
+  // nor written, and the payload equals the run over the committed DB.
+  auto spec = small_cnn_spec();
+  spec.model = "bitflip";
+  spec.injections = 8;
+  const std::string committed = run_spec_offline(spec);
+  spec.db_path = "serve_cnn_missing.db";
+  std::filesystem::remove(spec.db_path);
+  EXPECT_EQ(run_spec_offline(spec), committed);
+  EXPECT_FALSE(std::filesystem::exists(spec.db_path));
+}
+
+TEST(Serve, CnnDeadlineStopsTheTrialLoopMidRun) {
+  // A cnn campaign runs on the trial engine, so a deadline that expires
+  // while its trials run stops it between two trials: some trials ran,
+  // far from all of them.
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  ServerConfig cfg;
+  cfg.socket_path = "serve_cnn_deadline.sock";
+  cfg.workers = 1;
+  Server server(cfg);
+  server.start();
+  // A zero-trial run warms the DB cache and times what precedes the first
+  // trial, so the deadline below lands inside the trial loop on slow
+  // (sanitized) builds too.
+  auto spec = small_cnn_spec();
+  spec.injections = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(submit_campaign(cfg.socket_path, spec).ok);
+  const auto startup = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  spec.injections = 1'000'000;
+  spec.deadline_ms = static_cast<std::uint64_t>(3 * startup.count() + 500);
+  const int fd = submit_raw(cfg.socket_path, spec);
+  const Frame reply = read_final(fd);
+  ::close(fd);
+  EXPECT_EQ(reply.type, FrameType::Error);
+  EXPECT_NE(reply.payload.find("deadline"), std::string::npos);
+  ASSERT_TRUE(wait_until([&] { return server.stats().cancelled == 1; }));
+  const auto& metrics = obs::Registry::global();
+  EXPECT_EQ(metrics.counter_value("gpufi_exec_deadline_expired_total"), 1u);
+  const auto trials = metrics.counter_value("gpufi_exec_trials_total");
+  EXPECT_GT(trials, 0u);
+  EXPECT_LT(trials, spec.injections);
+  server.shutdown(true);
+  obs::Registry::global().reset();
+  obs::set_enabled(false);
 }
 
 TEST(Serve, StickySpecReplaysTheStuckAt1SyndromeClass) {
