@@ -9,7 +9,8 @@
 //   gpufi report <op> [module|all] ...    cross-layer attribution report
 //   gpufi serve [options]                 campaign daemon on a Unix socket
 //   gpufi worker --connect ADDR           fabric shard executor process
-//   gpufi submit <rtl|tmxm|sw|cnn> ...    run a campaign through the daemon
+//   gpufi submit <kind> ...               run a campaign or a report through
+//                                         the daemon (rtl|tmxm|sw|cnn|report)
 //   gpufi status [--socket PATH]          daemon queue/cache counters
 //   gpufi stats --metrics                 daemon Prometheus metrics scrape
 //
@@ -71,8 +72,8 @@ int usage() {
       "  gpufi serve [--socket PATH] [--workers N] [--queue N] "
       "[--deadline MS] [--fabric ADDR]\n"
       "  gpufi worker --connect ADDR [--name NAME] [--heartbeat MS]\n"
-      "  gpufi submit <rtl|tmxm|sw|cnn> <args as above> [--socket PATH] "
-      "[--priority P] [--deadline MS] [--workers N]\n"
+      "  gpufi submit <rtl|tmxm|sw|cnn|report> <args as above> "
+      "[--socket PATH] [--priority P] [--deadline MS] [--workers N]\n"
       "  gpufi status [--socket PATH] [--metrics]\n"
       "  gpufi stats --metrics [--socket PATH]   (alias of status)\n"
       "\n"
@@ -99,8 +100,9 @@ int usage() {
       "tables with 95% Wilson intervals. `all` (the default) bombards all\n"
       "six modules; --json emits the machine-readable form; --out FILE\n"
       "writes atomically (tmp + rename); --socket PATH asks a running\n"
-      "daemon instead (single module only; the payload is always JSON and\n"
-      "byte-identical to the offline --json output).\n"
+      "daemon instead, as `gpufi submit report` does (the answer is always\n"
+      "JSON, byte-identical to the offline --json output). A report runs in\n"
+      "one process: --workers on a report is a usage error.\n"
       "\n"
       "scaling out: `gpufi serve --fabric ADDR` opens a coordinator socket\n"
       "(unix:PATH for one machine, tcp:HOST:PORT across machines); each\n"
@@ -323,11 +325,18 @@ bool check_campaign(const serve::CampaignSpec& spec) {
 
 /// Parses a campaign command whose positional arguments start at
 /// argv[first] — rtl: <op> <module>; tmxm: <site>; sw: <app> <model>;
-/// cnn: <net> <model>, the same for `gpufi <kind>` and `gpufi submit <kind>`
-/// — then its flags, into one checked spec. Nullopt: usage error (exit 2).
+/// cnn: <net> <model>; report: <op> [<module>|all], the same for
+/// `gpufi <kind>` and `gpufi submit <kind>` — then its flags, into one
+/// checked spec. Nullopt: usage error (exit 2).
 std::optional<Options> parse_campaign(serve::CampaignKind kind, int argc,
                                       char** argv, int first) {
-  const int flags = first + (kind == serve::CampaignKind::Tmxm ? 1 : 2);
+  // A report's module is optional: a flag or nothing in its place means
+  // "all".
+  const bool one_name =
+      kind == serve::CampaignKind::Tmxm ||
+      (kind == serve::CampaignKind::Report &&
+       (argc <= first + 1 || argv[first + 1][0] == '-'));
+  const int flags = first + (one_name ? 1 : 2);
   if (argc < flags) {
     usage();
     return std::nullopt;
@@ -336,6 +345,9 @@ std::optional<Options> parse_campaign(serve::CampaignKind kind, int argc,
   if (!o) return std::nullopt;
   serve::CampaignSpec& spec = o->spec;
   spec.kind = kind;
+  // --workers is a served campaign's fabric fan-out width (0 = in-process);
+  // the daemon's executor pool keeps its own `serve --workers` knob.
+  spec.workers = o->workers.value_or(0);
   switch (kind) {
     case serve::CampaignKind::Rtl:
       spec.op = argv[first];
@@ -351,6 +363,10 @@ std::optional<Options> parse_campaign(serve::CampaignKind kind, int argc,
     case serve::CampaignKind::Cnn:
       spec.net = argv[first];
       spec.model = argv[first + 1];
+      break;
+    case serve::CampaignKind::Report:
+      spec.op = argv[first];
+      spec.module = one_name ? "all" : argv[first + 1];
       break;
   }
   if (!check_campaign(spec)) return std::nullopt;
@@ -541,42 +557,35 @@ int cmd_cnn(int argc, char** argv) {
   return 0;
 }
 
-int cmd_report(int argc, char** argv) {
-  if (argc < 3) return usage();
-  // Optional positional module; "all" (the default) bombards all six.
-  const bool has_module = argc > 3 && argv[3][0] != '-';
-  const bool all = !has_module || std::string(argv[3]) == "all";
-  auto o = Options::parse(argc, argv, has_module ? 4 : 3);
-  if (!o) return 2;
-  serve::CampaignSpec& spec = o->spec;
-  spec.kind = serve::CampaignKind::Rtl;
-  spec.op = argv[2];
-  if (!all) spec.module = argv[3];
-  if (!check_campaign(spec)) return 2;
-  install_trace_sink(*o);
+/// Sends `spec` to the daemon at `socket` and returns its Result payload;
+/// nullopt, with the error on stderr, when the daemon is unreachable or
+/// answers with an Error frame.
+std::optional<std::string> submit(const std::string& socket,
+                                  serve::CampaignSpec spec) {
+  if (spec.jobs == 0) spec.jobs = 1;  // served default: one core each
+  const auto outcome =
+      serve::submit_campaign(socket, spec, stderr_progress("trials"));
+  if (!outcome.ok) {
+    std::fprintf(stderr, "error: %s\n", outcome.error.c_str());
+    return std::nullopt;
+  }
+  return outcome.result;
+}
 
+int cmd_report(int argc, char** argv) {
+  const auto o = parse_campaign(serve::CampaignKind::Report, argc, argv, 2);
+  if (!o) return 2;
+  install_trace_sink(*o);
   std::string payload;
   if (o->socket_set) {
-    // Served path: one module per request (the spec carries exactly one);
-    // the daemon always answers with the JSON rendering.
-    if (all)
-      return usage_error(
-          "a served report needs a single module, not 'all' (run one "
-          "request per module, or drop --socket for the offline path)");
-    if (spec.jobs == 0) spec.jobs = 1;  // served default: one core
-    std::string error;
-    const auto r = serve::query_report(o->socket, spec,
-                                       stderr_progress("trials"), &error);
-    if (!r) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    payload = *r;
+    // The daemon answers a report with its JSON rendering.
+    const auto result = submit(o->socket, o->spec);
+    if (!result) return 1;
+    payload = *result;
   } else {
-    auto rc = serve::report_config_for_spec(
-        spec, stderr_progress("injections"), nullptr);
-    if (all) rc.module.reset();
-    const attr::Report report = core::run_report(rc);
+    serve::Caches caches;
+    const attr::Report report = serve::run_report_spec(
+        o->spec, caches, stderr_progress("injections"), nullptr);
     payload = o->json ? attr::render_json(report) : attr::render_text(report);
   }
 
@@ -656,21 +665,11 @@ int cmd_submit(int argc, char** argv) {
   const auto kind = serve::parse_campaign_kind(argv[2]);
   if (!kind)
     return usage_error(std::string("unknown campaign kind '") + argv[2] + "'");
-  auto o = parse_campaign(*kind, argc, argv, 3);
+  const auto o = parse_campaign(*kind, argc, argv, 3);
   if (!o) return 2;
-  serve::CampaignSpec& spec = o->spec;
-  if (spec.jobs == 0) spec.jobs = 1;  // served default: one core each
-  // --workers on submit is the fabric fan-out width (0 = in-process); the
-  // daemon-side executor pool keeps its own `serve --workers` knob.
-  spec.workers = o->workers.value_or(0);
-
-  const auto outcome =
-      serve::submit_campaign(o->socket, spec, stderr_progress("trials"));
-  if (!outcome.ok) {
-    std::fprintf(stderr, "error: %s\n", outcome.error.c_str());
-    return 1;
-  }
-  std::fwrite(outcome.result.data(), 1, outcome.result.size(), stdout);
+  const auto result = submit(o->socket, o->spec);
+  if (!result) return 1;
+  std::fwrite(result->data(), 1, result->size(), stdout);
   return 0;
 }
 

@@ -208,51 +208,4 @@ Models ensure_models(const std::string& dir, unsigned lenet_steps,
   return m;
 }
 
-attr::Report run_report(const ReportConfig& cfg) {
-  obs::Span span("core.run_report");
-  span.set("op", isa::mnemonic(cfg.op));
-
-  const rtlfi::Workload w =
-      rtlfi::make_microbenchmark(cfg.op, cfg.range, cfg.seed);
-
-  std::vector<rtl::Module> modules;
-  if (cfg.module) {
-    modules.push_back(*cfg.module);
-  } else {
-    for (std::size_t i = 0; i < rtl::kNumModules; ++i)
-      modules.push_back(static_cast<rtl::Module>(i));
-  }
-
-  rtlfi::CampaignConfig cc;
-  cc.n_faults = cfg.n_faults;
-  cc.jobs = cfg.jobs;
-  cc.fault_model = cfg.fault_model;
-  cc.fault_duration = cfg.fault_duration;
-  cc.burst_period = cfg.burst_period;
-  cc.progress = cfg.progress;
-  cc.progress_interval = cfg.progress_interval;
-  cc.cancel = cfg.cancel;
-
-  // The golden context (output, checkpoint ladder, liveness timeline) is a
-  // pure function of the workload — compute it once and share it across
-  // every module campaign.
-  const rtlfi::GoldenContext golden = rtlfi::prepare_golden(w, cc);
-
-  std::vector<attr::CampaignSlice> slices;
-  for (const rtl::Module m : modules) {
-    cc.module = m;
-    // Per-module fault seed, derived so a single-module report reproduces
-    // exactly that module's slice of the all-module report.
-    cc.seed = rng_derive(cfg.seed, static_cast<std::uint64_t>(m));
-    const rtlfi::CampaignResult r = rtlfi::run_campaign(w, cc, golden);
-    attr::CampaignSlice slice;
-    slice.module = std::string(rtl::module_name(m));
-    slice.sites = r.attribution;
-    slice.injected = r.injected;
-    slices.push_back(std::move(slice));
-  }
-
-  return attr::build_report(w.name, *golden.liveness, slices);
-}
-
 }  // namespace gpufi::core

@@ -1,10 +1,8 @@
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "attr/attr.hpp"
 #include "exec/engine.hpp"
 #include "nn/network.hpp"
 #include "rtlfi/campaign.hpp"
@@ -67,35 +65,6 @@ syndrome::Database build_syndrome_database(
 /// once per configuration.
 syndrome::Database ensure_syndrome_database(
     const std::string& path, const RtlCharacterizationConfig& cfg = {});
-
-/// Parameters of a cross-layer attribution report: a micro-benchmark
-/// workload bombarded per module, with every outcome joined to the
-/// instruction live at the fault site.
-struct ReportConfig {
-  isa::Opcode op = isa::Opcode::FFMA;
-  /// Module to bombard; nullopt runs all six (one campaign slice each).
-  std::optional<rtl::Module> module;
-  rtlfi::InputRange range = rtlfi::InputRange::Medium;
-  std::size_t n_faults = 500;
-  /// Workload value seed; each module campaign derives its fault seed as
-  /// rng_derive(seed, module index), so a single-module report is
-  /// byte-identical to that module's slice of the all-module report.
-  std::uint64_t seed = 2021;
-  unsigned jobs = 0;
-  rtl::FaultModel fault_model = rtl::FaultModel::Transient;
-  std::uint64_t fault_duration = 0;
-  std::uint64_t burst_period = 8;
-  exec::ProgressFn progress;
-  std::size_t progress_interval = 0;
-  const exec::CancelToken* cancel = nullptr;
-};
-
-/// Runs the attribution report: one golden run (shared across modules —
-/// the liveness timeline and checkpoint ladder are module-independent),
-/// then one campaign per requested module, aggregated into per-(module ×
-/// static instruction) and per-opcode vulnerability tables. Deterministic:
-/// identical bytes for every job count.
-attr::Report run_report(const ReportConfig& cfg);
 
 /// Trained CNNs used by the paper's CNN experiments.
 struct Models {

@@ -108,34 +108,13 @@ std::optional<std::string> query_report(
     if (error) *error = std::move(msg);
     return std::nullopt;
   };
-  const int fd = fabric::connect_endpoint({.path = socket_path});
-  if (fd < 0)
-    return fail("connect(" + socket_path + "): " + std::strerror(errno));
-  if (!write_frame(fd, {FrameType::ReportRequest, encode_spec(spec)})) {
-    ::close(fd);
-    return fail("failed to send the report request");
-  }
-  for (;;) {
-    Frame f;
-    const ReadStatus st = read_frame(fd, f);
-    if (st != ReadStatus::Ok) {
-      ::close(fd);
-      return fail(st == ReadStatus::Eof
-                      ? "server closed the connection without a report"
-                      : "transport error while waiting for the report");
-    }
-    if (f.type == FrameType::Progress) {
-      if (on_progress) {
-        if (const auto p = decode_progress(f.payload)) on_progress(*p);
-      }
-      continue;
-    }
-    ::close(fd);
-    if (f.type == FrameType::Report) return std::move(f.payload);
-    return fail(f.type == FrameType::Error
-                    ? std::move(f.payload)
-                    : "unexpected frame type from server");
-  }
+  if (spec.kind != CampaignKind::Rtl && spec.kind != CampaignKind::Report)
+    return fail("attribution reports require an rtl campaign spec");
+  CampaignSpec report = spec;
+  report.kind = CampaignKind::Report;
+  auto outcome = submit_campaign(socket_path, report, on_progress);
+  if (!outcome.ok) return fail(std::move(outcome.error));
+  return std::move(outcome.result);
 }
 
 }  // namespace gpufi::serve

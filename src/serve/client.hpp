@@ -38,10 +38,9 @@ std::optional<ServerStats> query_stats(const std::string& socket_path,
 std::optional<std::string> query_metrics(const std::string& socket_path,
                                          std::string* error = nullptr);
 
-/// Sends a ReportRequest (spec kind must be rtl) and blocks until the
-/// server answers with a Report or Error frame, invoking `on_progress`,
-/// when given, per Progress frame in between. Returns the report JSON, or
-/// nullopt filling `error`.
+/// Submits `spec` as a report: an rtl (or report) spec with kind=report.
+/// Returns the report JSON of the Result frame, or nullopt filling `error`;
+/// a tmxm, sw or cnn spec is refused without contacting the daemon.
 std::optional<std::string> query_report(
     const std::string& socket_path, const CampaignSpec& spec,
     const std::function<void(const exec::Progress&)>& on_progress = {},

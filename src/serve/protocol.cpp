@@ -33,8 +33,12 @@ std::uint32_t get_u32_le(const char* p) {
 }  // namespace
 
 bool frame_type_valid(std::uint8_t t) {
-  return t >= static_cast<std::uint8_t>(FrameType::Submit) &&
-         t <= static_cast<std::uint8_t>(FrameType::ShardProgress);
+  const auto in = [t](FrameType lo, FrameType hi) {
+    return t >= static_cast<std::uint8_t>(lo) &&
+           t <= static_cast<std::uint8_t>(hi);
+  };
+  return in(FrameType::Submit, FrameType::Metrics) ||
+         in(FrameType::Hello, FrameType::ShardProgress);
 }
 
 std::string encode_frame(const Frame& f) {
@@ -127,6 +131,7 @@ std::string_view campaign_kind_name(CampaignKind k) {
     case CampaignKind::Tmxm: return "tmxm";
     case CampaignKind::Sw: return "sw";
     case CampaignKind::Cnn: return "cnn";
+    case CampaignKind::Report: return "report";
   }
   return "?";
 }
@@ -136,6 +141,7 @@ std::optional<CampaignKind> parse_campaign_kind(std::string_view s) {
   if (s == "tmxm") return CampaignKind::Tmxm;
   if (s == "sw") return CampaignKind::Sw;
   if (s == "cnn") return CampaignKind::Cnn;
+  if (s == "report") return CampaignKind::Report;
   return std::nullopt;
 }
 
@@ -228,13 +234,21 @@ std::optional<std::string> validate_spec(const CampaignSpec& spec) {
     std::string err;
     if (!vocab::parse_plan(spec.plan, &err)) return err;
   }
+  const bool report = spec.kind == CampaignKind::Report;
   switch (spec.kind) {
     case CampaignKind::Rtl:
+    case CampaignKind::Report:
       if (!vocab::parse_opcode(spec.op)) return "unknown opcode: " + spec.op;
-      if (!vocab::parse_module(spec.module))
+      if (!(report && spec.module == "all") &&
+          !vocab::parse_module(spec.module))
         return "unknown module: " + spec.module;
       if (!vocab::parse_range(spec.range))
         return "unknown range: " + spec.range;
+      // Module m's fault seed is rng_derive(seed, m), which no rtl shard
+      // spec can carry, so a report runs whole in one process.
+      if (report && spec.workers > 0)
+        return "a report cannot fan out over the fabric: resubmit without "
+               "--workers";
       break;
     case CampaignKind::Tmxm:
       if (!vocab::parse_module(spec.module))

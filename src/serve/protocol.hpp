@@ -8,11 +8,12 @@
 //   u8   frame type (FrameType)
 //   ...  payload
 //
-// A client sends exactly one Submit (campaign spec) or Status frame per
-// connection. The server answers a Submit with zero or more Progress frames
-// followed by exactly one Result or Error frame, and a Status with one Stats
-// frame; either side closing the connection ends the exchange (a client
-// disconnect cancels the in-flight campaign).
+// A client sends exactly one Submit (campaign spec, attribution reports
+// included), Status or MetricsRequest frame per connection. The server
+// answers a Submit with zero or more Progress frames followed by exactly one
+// Result or Error frame, and a Status with one Stats frame; either side
+// closing the connection ends the exchange (a client disconnect cancels the
+// in-flight campaign).
 //
 // Payloads are deterministic "key=value\n" text — the Result payload of a
 // served campaign is byte-identical to the offline engine's serialization of
@@ -59,13 +60,9 @@ enum class FrameType : std::uint8_t {
   /// server -> client: Prometheus text exposition of the daemon's metric
   /// registry (gpufi_* counters/gauges/histograms).
   Metrics = 8,
-  /// client -> server: attribution-report request. Payload is a campaign
-  /// spec (kind must be rtl); the job runs the campaign and answers with
-  /// Progress frames followed by one Report (or Error) frame.
-  ReportRequest = 9,
-  /// server -> client: the attribution report JSON (attr::render_json),
-  /// byte-identical to the offline `gpufi report --json` of the same spec.
-  Report = 10,
+  // Bytes 9 and 10 stay unused: a client of the retired report request
+  // and reply gets a protocol error, not a misread frame. A report is a
+  // Submit of kind=report.
 
   // --- gpufi-fabric frames (worker <-> coordinator, same framing; work
   // over the Unix transport and the TCP transport alike) -------------------
@@ -141,7 +138,9 @@ ReadStatus read_frame(int fd, Frame& out,
 // Campaign spec — the request payload, mirroring the CLI grids.
 // ---------------------------------------------------------------------------
 
-enum class CampaignKind : std::uint8_t { Rtl, Tmxm, Sw, Cnn };
+/// `Report` runs rtl campaigns on one module or on all six and answers with
+/// their attribution report (attr::render_json) as its Result payload.
+enum class CampaignKind : std::uint8_t { Rtl, Tmxm, Sw, Cnn, Report };
 
 std::string_view campaign_kind_name(CampaignKind k);
 std::optional<CampaignKind> parse_campaign_kind(std::string_view s);
@@ -151,9 +150,10 @@ std::optional<CampaignKind> parse_campaign_kind(std::string_view s);
 /// spec round-trips losslessly through encode/decode.
 struct CampaignSpec {
   CampaignKind kind = CampaignKind::Rtl;
-  std::string op = "FFMA";        ///< rtl: instruction mnemonic
-  std::string module = "fp32";    ///< rtl: module / tmxm: injection site
-  std::string range = "M";        ///< rtl: input range S|M|L
+  std::string op = "FFMA";        ///< rtl, report: instruction mnemonic
+  /// rtl: module / tmxm: injection site / report: module or "all"
+  std::string module = "fp32";
+  std::string range = "M";        ///< rtl, report: input range S|M|L
   std::string tile = "random";    ///< tmxm: max|zero|random
   std::string app = "mxm";        ///< sw: application name
   std::string model = "bitflip";  ///< sw: fault model / cnn: fault model
@@ -164,7 +164,7 @@ struct CampaignSpec {
   std::string fault_model = "transient";
   std::uint64_t fault_duration = 0;  ///< rtl: window cycles; 0 = permanent
   std::uint64_t burst_period = 8;    ///< rtl: burst re-flip period
-  std::size_t faults = 2000;      ///< rtl/tmxm trial count
+  std::size_t faults = 2000;      ///< rtl/tmxm/report trials per module
   std::size_t injections = 300;   ///< sw/cnn trial count
   std::uint64_t seed = 1;
   /// Trial-loop threads per campaign. Served default is 1: the daemon's
@@ -173,6 +173,7 @@ struct CampaignSpec {
   /// Fan the campaign out over the serve fabric into trial-range shards
   /// served by up to this many `gpufi worker` processes; 0 runs it inside
   /// the daemon process. The Result payload is byte-identical either way.
+  /// A report must leave it 0.
   unsigned workers = 0;
   std::string db_path = "gpufi_data/syndromes.db";
   std::string models_dir = "gpufi_data";
@@ -199,7 +200,8 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
 
 /// Validates the spec's vocabulary fields against the engine's parsers
 /// (opcode, module, range, tile, app, model, net — whichever the
-/// kind uses). Returns an error message, or nullopt when the spec is sound.
+/// kind uses) and refuses a report with workers > 0. Returns an error
+/// message, or nullopt when the spec is sound.
 std::optional<std::string> validate_spec(const CampaignSpec& spec);
 
 // ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ struct Job {
   std::uint64_t id = 0;
   CampaignSpec spec;
   int fd = -1;
-  /// True for ReportRequest jobs: the campaign's attribution tables are
-  /// aggregated into a report and answered with a Report frame instead of
-  /// the raw Result serialization.
-  bool report = false;
   /// Cooperative stop flag shared with the connection watcher: client
   /// disconnect / deadline expiry cancel the trial loop through it.
   std::shared_ptr<exec::CancelToken> cancel;

@@ -67,6 +67,42 @@ swfi::Config sw_config_for_spec(const CampaignSpec& spec, Caches& caches,
   return cfg;
 }
 
+/// The rtl engine half of a validated rtl, tmxm or report spec.
+struct RtlRun {
+  rtlfi::Workload workload;
+  rtlfi::CampaignConfig cc;  ///< a report sets module and seed per module
+  std::shared_ptr<const rtlfi::GoldenContext> golden;
+};
+
+RtlRun rtl_run_for_spec(const CampaignSpec& spec, Caches& caches,
+                        const exec::ProgressFn& progress,
+                        const exec::CancelToken* cancel) {
+  RtlRun run{spec.kind == CampaignKind::Tmxm
+                 ? rtlfi::make_tmxm(*vocab::parse_tile(spec.tile), spec.seed)
+                 : rtlfi::make_microbenchmark(*vocab::parse_opcode(spec.op),
+                                              *vocab::parse_range(spec.range),
+                                              spec.seed)};
+  rtlfi::CampaignConfig& cc = run.cc;
+  if (const auto module = vocab::parse_module(spec.module)) cc.module = *module;
+  cc.n_faults = spec.faults;
+  cc.seed = spec.seed;
+  cc.jobs = spec.jobs;
+  cc.fault_model = *vocab::parse_fault_model(spec.fault_model);
+  cc.fault_duration = spec.fault_duration;
+  cc.burst_period = spec.burst_period;
+  cc.progress = progress;
+  cc.progress_interval = spec.progress_interval;
+  cc.cancel = cancel;
+  // The golden half is keyed by workload identity (the name encodes
+  // op/range or tile kind) and value seed; every runner prepares the same
+  // traced golden, so nothing else enters the key, and an rtl campaign and
+  // a report of the same op, range and seed share one golden.
+  run.golden = caches.golden(
+      run.workload.name + "/vseed=" + std::to_string(spec.seed),
+      [&] { return rtlfi::prepare_golden(run.workload, cc); });
+  return run;
+}
+
 }  // namespace
 
 rtlfi::CampaignResult run_rtl_spec(const CampaignSpec& spec, Caches& caches,
@@ -77,34 +113,46 @@ rtlfi::CampaignResult run_rtl_spec(const CampaignSpec& spec, Caches& caches,
                spec.kind == CampaignKind::Rtl ||
                    spec.kind == CampaignKind::Tmxm,
                "expected an rtl or tmxm campaign spec");
-  const auto w =
-      spec.kind == CampaignKind::Rtl
-          ? rtlfi::make_microbenchmark(*vocab::parse_opcode(spec.op),
-                                       *vocab::parse_range(spec.range),
-                                       spec.seed)
-          : rtlfi::make_tmxm(*vocab::parse_tile(spec.tile), spec.seed);
-  rtlfi::CampaignConfig cc;
-  cc.module = *vocab::parse_module(spec.module);
-  cc.n_faults = spec.faults;
-  cc.seed = spec.seed;
-  cc.jobs = spec.jobs;
-  cc.fault_model = *vocab::parse_fault_model(spec.fault_model);
-  cc.fault_duration = spec.fault_duration;
-  cc.burst_period = spec.burst_period;
-  cc.progress = progress;
-  cc.progress_interval = spec.progress_interval;
-  cc.cancel = cancel;
-  cc.shard_offset = shard.offset;
-  cc.shard_count = shard.count;
-  // The golden half is keyed by workload identity (the name encodes
-  // op/range or tile kind) and value seed; every runner prepares the same
-  // traced golden, so nothing else enters the key.
-  const auto golden =
-      caches.golden(w.name + "/vseed=" + std::to_string(spec.seed),
-                    [&] { return rtlfi::prepare_golden(w, cc); });
-  auto r = rtlfi::run_campaign(w, cc, *golden);
+  RtlRun run = rtl_run_for_spec(spec, caches, progress, cancel);
+  run.cc.shard_offset = shard.offset;
+  run.cc.shard_count = shard.count;
+  auto r = rtlfi::run_campaign(run.workload, run.cc, *run.golden);
   throw_if_stopped(cancel);
   return r;
+}
+
+attr::Report run_report_spec(const CampaignSpec& spec, Caches& caches,
+                             const exec::ProgressFn& progress,
+                             const exec::CancelToken* cancel) {
+  require_spec(spec, spec.kind == CampaignKind::Report,
+               "expected a report spec");
+  RtlRun run = rtl_run_for_spec(spec, caches, {}, cancel);
+  const auto one = vocab::parse_module(spec.module);  // nullopt: "all"
+  const std::size_t n_modules = one ? 1 : rtl::kNumModules;
+  std::vector<attr::CampaignSlice> slices;
+  for (std::size_t k = 0; k < n_modules; ++k) {
+    const rtl::Module m = one ? *one : static_cast<rtl::Module>(k);
+    run.cc.module = m;
+    // Per-module fault seed: a single-module report reproduces exactly
+    // that module's slice of the all-module report.
+    run.cc.seed = rng_derive(spec.seed, static_cast<std::uint64_t>(m));
+    if (progress)
+      run.cc.progress = [&, k](const exec::Progress& p) {
+        exec::Progress all = p;
+        all.done += k * spec.faults;
+        all.total = n_modules * spec.faults;
+        all.eta_seconds =
+            p.per_second > 0
+                ? static_cast<double>(all.total - all.done) / p.per_second
+                : 0.0;
+        progress(all);
+      };
+    auto r = rtlfi::run_campaign(run.workload, run.cc, *run.golden);
+    throw_if_stopped(cancel);
+    slices.push_back({std::string(rtl::module_name(m)),
+                      std::move(r.attribution), r.injected});
+  }
+  return attr::build_report(run.workload.name, *run.golden->liveness, slices);
 }
 
 swfi::Result run_sw_spec(const CampaignSpec& spec, Caches& caches,
@@ -175,27 +223,6 @@ std::shared_ptr<const syndrome::Database> syndrome_db_for_spec(
   return replays ? caches.syndrome_db(spec.db_path, spec.jobs) : nullptr;
 }
 
-core::ReportConfig report_config_for_spec(const CampaignSpec& spec,
-                                          const exec::ProgressFn& progress,
-                                          const exec::CancelToken* cancel) {
-  require_spec(spec, spec.kind == CampaignKind::Rtl,
-               "attribution reports require an rtl campaign spec");
-  core::ReportConfig rc;
-  rc.op = *vocab::parse_opcode(spec.op);
-  rc.module = *vocab::parse_module(spec.module);
-  rc.range = *vocab::parse_range(spec.range);
-  rc.n_faults = spec.faults;
-  rc.seed = spec.seed;
-  rc.jobs = spec.jobs;
-  rc.fault_model = *vocab::parse_fault_model(spec.fault_model);
-  rc.fault_duration = spec.fault_duration;
-  rc.burst_period = spec.burst_period;
-  rc.progress = progress;
-  rc.progress_interval = spec.progress_interval;
-  rc.cancel = cancel;
-  return rc;
-}
-
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
                      const exec::CancelToken* cancel,
@@ -216,6 +243,10 @@ std::string run_spec(const CampaignSpec& spec, Caches& caches,
     case CampaignKind::Cnn:
       return serialize_cnn_result(
           run_cnn_spec(spec, caches, progress, cancel, shard));
+    case CampaignKind::Report:
+      if (shard.count != 0)
+        throw std::invalid_argument("a report does not shard");
+      return attr::render_json(run_report_spec(spec, caches, progress, cancel));
   }
   throw std::logic_error("unreachable campaign kind");
 }
@@ -225,19 +256,13 @@ std::string run_spec_offline(const CampaignSpec& spec) {
   return run_spec(spec, fresh, {}, nullptr);
 }
 
-std::string run_report_spec(const CampaignSpec& spec,
-                            const exec::ProgressFn& progress,
-                            const exec::CancelToken* cancel) {
-  const auto rc = report_config_for_spec(spec, progress, cancel);
-  obs::Span span("serve.run_report");
-  span.set("op", spec.op);
-  const attr::Report report = core::run_report(rc);
-  throw_if_stopped(cancel);
-  return attr::render_json(report);
-}
-
 std::string run_report_offline(const CampaignSpec& spec) {
-  return run_report_spec(spec, {}, nullptr);
+  if (spec.kind != CampaignKind::Rtl && spec.kind != CampaignKind::Report)
+    throw std::invalid_argument(
+        "attribution reports require an rtl campaign spec");
+  CampaignSpec report = spec;
+  report.kind = CampaignKind::Report;
+  return run_spec_offline(report);
 }
 
 // ---------------------------------------------------------------------------
@@ -453,10 +478,10 @@ void Server::Impl::handle_connection(int fd) {
     return;
   }
 
-  if (req.type != FrameType::Submit && req.type != FrameType::ReportRequest) {
+  if (req.type != FrameType::Submit) {
     obs::count("gpufi_serve_bad_requests_total");
     write_frame(fd, {FrameType::Error,
-                     "expected a Submit, ReportRequest, or Status frame"});
+                     "expected a Submit, Status or MetricsRequest frame"});
     ::close(fd);
     return;
   }
@@ -475,7 +500,6 @@ void Server::Impl::handle_connection(int fd) {
   job.id = next_id.fetch_add(1);
   job.spec = *spec;
   job.fd = fd;
-  job.report = req.type == FrameType::ReportRequest;
   job.cancel = std::make_shared<exec::CancelToken>();
   const std::uint64_t deadline_ms =
       spec->deadline_ms != 0 ? spec->deadline_ms : cfg.default_deadline_ms;
@@ -538,7 +562,7 @@ void Server::Impl::handle_job(Job job) {
   try {
     throw_if_stopped(token.get());
     std::string payload;
-    if (!job.report && job.spec.workers > 0) {
+    if (job.spec.workers > 0) {
       // Fabric fan-out: the coordinator shards the campaign over the
       // registered `gpufi worker` fleet and merges to the exact bytes the
       // in-process path below would have produced.
@@ -548,17 +572,10 @@ void Server::Impl::handle_job(Job job) {
             "--fabric ADDR, or resubmit without --workers");
       payload =
           fabric->run_job(job.spec, job.spec.workers, progress, token.get());
-    } else if (job.report && job.spec.workers > 0) {
-      throw std::invalid_argument(
-          "attribution reports cannot fan out over the fabric; resubmit "
-          "without --workers");
     } else {
-      payload = job.report ? run_report_spec(job.spec, progress, token.get())
-                           : run_spec(job.spec, caches, progress, token.get());
+      payload = run_spec(job.spec, caches, progress, token.get());
     }
-    const FrameType reply =
-        job.report ? FrameType::Report : FrameType::Result;
-    if (write_frame(fd, {reply, payload})) {
+    if (write_frame(fd, {FrameType::Result, payload})) {
       ++completed;
       obs::count("gpufi_serve_jobs_completed_total");
       log("job %llu done", static_cast<unsigned long long>(job.id));

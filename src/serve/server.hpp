@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 
+#include "attr/attr.hpp"
 #include "core/gpufi.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
@@ -79,9 +80,9 @@ std::optional<ServerStats> decode_stats(std::string_view payload);
 // policy and runs the campaign on the calling thread, sharing `caches`.
 // `shard` restricts a run to one fabric shard's trial range (the default
 // runs every trial). A stopped `cancel` token makes a runner throw instead
-// of returning a partial result. The daemon (run_spec, run_report_spec),
-// fabric workers and the CLI all run campaigns through these, so an
-// offline, a served and a sharded campaign cannot drift apart.
+// of returning a partial result. The daemon (run_spec), fabric workers and
+// the CLI all run campaigns through these, so an offline, a served and a
+// sharded campaign cannot drift apart.
 // ---------------------------------------------------------------------------
 
 /// rtl and tmxm campaigns. The golden half is shared through `caches`.
@@ -115,15 +116,20 @@ nn::CnnCampaignResult run_cnn_spec(const CampaignSpec& spec, Caches& caches,
 std::shared_ptr<const syndrome::Database> syndrome_db_for_spec(
     const CampaignSpec& spec, Caches& caches);
 
-/// The attribution-report config of an rtl spec.
-core::ReportConfig report_config_for_spec(const CampaignSpec& spec,
-                                          const exec::ProgressFn& progress,
-                                          const exec::CancelToken* cancel);
+/// Attribution reports: one rtl campaign per requested module (`module`
+/// names one, or "all" runs the six in enum order), each with fault seed
+/// rng_derive(seed, module), over the golden run_rtl_spec caches under the
+/// same key, aggregated by attr::build_report. Progress counts trials over
+/// modules x faults. A report runs whole: it never shards.
+attr::Report run_report_spec(const CampaignSpec& spec, Caches& caches,
+                             const exec::ProgressFn& progress,
+                             const exec::CancelToken* cancel);
 
 /// Runs one campaign spec through its runner and returns the deterministic
-/// Result payload. `progress`/`cancel` may be empty/null. `shard` reaches
-/// the runners that take one (planned sw runs whole). Throws on failure,
-/// including when `cancel` stopped the campaign.
+/// Result payload (a report's is attr::render_json). `progress`/`cancel`
+/// may be empty/null. `shard` reaches the runners that take one (planned
+/// sw runs whole; a report throws). Throws on failure, including when
+/// `cancel` stopped the campaign.
 std::string run_spec(const CampaignSpec& spec, Caches& caches,
                      const exec::ProgressFn& progress,
                      const exec::CancelToken* cancel,
@@ -134,15 +140,9 @@ std::string run_spec(const CampaignSpec& spec, Caches& caches,
 /// compare a served payload against this.
 std::string run_spec_offline(const CampaignSpec& spec);
 
-/// Executes one attribution-report spec (kind must be rtl) on the calling
-/// thread and returns the report JSON (attr::render_json) — the Report
-/// frame payload, byte-identical to the offline `gpufi report --json` of
-/// the same spec.
-std::string run_report_spec(const CampaignSpec& spec,
-                            const exec::ProgressFn& progress,
-                            const exec::CancelToken* cancel);
-
-/// Offline reference for the Report byte-identity contract.
+/// run_spec_offline of `spec` as a report: an rtl (or report) spec with
+/// kind=report. Throws std::invalid_argument for the other kinds, whose
+/// campaigns have no golden liveness timeline to attribute to.
 std::string run_report_offline(const CampaignSpec& spec);
 
 class Server {

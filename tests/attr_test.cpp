@@ -14,9 +14,9 @@
 
 #include "attr/attr.hpp"
 #include "common/statistics.hpp"
-#include "core/gpufi.hpp"
 #include "rtl/layouts.hpp"
 #include "rtl/liveness.hpp"
+#include "serve/server.hpp"
 
 namespace gpufi {
 namespace {
@@ -152,17 +152,26 @@ TEST(WilsonInterval, BracketsTheProportionAndNarrowsWithN) {
 // Report construction.
 // ---------------------------------------------------------------------------
 
-core::ReportConfig report_config() {
-  core::ReportConfig cfg;
-  cfg.op = isa::Opcode::FFMA;
-  cfg.module = rtl::Module::Fp32Fu;
-  cfg.n_faults = 200;
-  cfg.seed = 7;
-  return cfg;
+/// The FP32 report of FFMA on M-range inputs; `module` "all" bombards the
+/// six modules.
+serve::CampaignSpec report_spec(const std::string& module = "fp32") {
+  serve::CampaignSpec spec;
+  spec.kind = serve::CampaignKind::Report;
+  spec.op = "FFMA";
+  spec.module = module;
+  spec.faults = 200;
+  spec.seed = 7;
+  spec.jobs = 0;
+  return spec;
+}
+
+Report run_report(const serve::CampaignSpec& spec) {
+  serve::Caches caches;
+  return serve::run_report_spec(spec, caches, {}, nullptr);
 }
 
 TEST(AttrReport, CountsAreConsistent) {
-  const Report r = core::run_report(report_config());
+  const Report r = run_report(report_spec());
   EXPECT_EQ(r.workload, "FFMA/M");
   EXPECT_GT(r.golden_cycles, 0u);
   EXPECT_EQ(r.injected, 200u);
@@ -190,12 +199,9 @@ TEST(AttrReport, CountsAreConsistent) {
 TEST(AttrReport, SingleModuleReportIsASliceOfTheAllModuleReport) {
   // The per-module seed derivation (rng_derive(seed, module)) makes the
   // fp32-only report reproduce exactly the FP32 rows of the all-module
-  // report — the contract that lets a served single-module report compose
-  // into the offline full report.
-  const Report single = core::run_report(report_config());
-  auto all_cfg = report_config();
-  all_cfg.module.reset();
-  const Report all = core::run_report(all_cfg);
+  // report, so single-module reports compose into the full one.
+  const Report single = run_report(report_spec());
+  const Report all = run_report(report_spec("all"));
 
   std::vector<attr::InstrRow> fp32_rows;
   for (const auto& row : all.rows)
@@ -240,7 +246,7 @@ TEST(AttrReport, RenderedReportMatchesGoldenFiles) {
   //       --out tests/golden/report_ffma_fp32.txt
   //   gpufi report FFMA fp32 --faults 200 --seed 7 --json
   //       --out tests/golden/report_ffma_fp32.json
-  const Report r = core::run_report(report_config());
+  const Report r = run_report(report_spec());
   EXPECT_EQ(attr::render_text(r), read_golden("report_ffma_fp32.txt"));
   EXPECT_EQ(attr::render_json(r), read_golden("report_ffma_fp32.json"));
 }

@@ -81,6 +81,8 @@ const std::vector<Case>& cases() {
       {"submit_unreachable", 1, "empty.txt",
        {"submit", "rtl", "FFMA", "fp32", "--faults", "8", "--socket",
         "no_such_dir/gpufi.sock"}},
+      {"report_served_all", 1, "empty.txt",
+       {"report", "FFMA", "all", "--socket", "no_such_dir/gpufi.sock"}},
       // Usage errors (exit 2).
       {"unknown_command", 2, "usage.txt", {"frobnicate"}},
       {"unknown_opcode", 2, "usage.txt", {"rtl", "FOO", "fp32"}},
@@ -106,8 +108,9 @@ const std::vector<Case>& cases() {
        {"sw", "mxm", "bitflip", "--plan", "target_err=2"}},
       {"rtl_fault_model_list", 2, "usage.txt",
        {"rtl", "FFMA", "fp32", "--fault-model", "transient,stuck1"}},
-      {"report_served_all", 2, "usage.txt",
-       {"report", "FFMA", "all", "--socket", "no_such_dir/gpufi.sock"}},
+      // A report does not fan out over the fabric.
+      {"submit_report_workers", 2, "usage.txt",
+       {"submit", "report", "FFMA", "fp32", "--workers", "2"}},
       {"submit_plan_on_rtl", 2, "usage.txt",
        {"submit", "rtl", "FFMA", "fp32", "--plan", "target_err=0.1"}},
       // --plan is a software-campaign flag on every command.

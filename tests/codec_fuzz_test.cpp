@@ -1,8 +1,8 @@
 // Deterministic mutation fuzzing of every decoder on a process or file
-// boundary: serve frames, specs, progress and stats payloads, every fabric
-// control message, the lossless rtl partial, the sw and cnn results (the sw
-// and cnn shard partials), the --plan vocabulary, the endpoint grammar and
-// the syndrome database.
+// boundary: serve frames, specs (a report spec among them), progress and
+// stats payloads, every fabric control message, the lossless rtl partial,
+// the sw and cnn results (the sw and cnn shard partials), the --plan
+// vocabulary, the endpoint grammar and the syndrome database.
 //
 // Each decoder starts from one golden encoding. From one fixed seed, every
 // mutant applies one or two of: a bit flip, a byte replaced from the
@@ -85,6 +85,19 @@ serve::CampaignSpec full_spec() {
   return spec;
 }
 
+/// An all-module attribution report: the one spec whose module may read
+/// "all".
+serve::CampaignSpec report_spec() {
+  serve::CampaignSpec spec;
+  spec.kind = serve::CampaignKind::Report;
+  spec.op = "IMAD";
+  spec.module = "all";
+  spec.range = "S";
+  spec.faults = 60;
+  spec.seed = 7;
+  return spec;
+}
+
 /// A real RTL campaign small enough to fuzz quickly, keeping every record.
 rtlfi::CampaignResult rtl_result() {
   const auto w = rtlfi::make_microbenchmark(isa::Opcode::FFMA,
@@ -163,9 +176,12 @@ std::vector<Codec> codecs() {
            return std::nullopt;
          return serve::encode_frame(f);
        }});
-  all.push_back({"spec", serve::encode_spec(spec),
-                 via([](std::string_view b) { return serve::decode_spec(b); },
-                     serve::encode_spec)});
+  for (const auto& [name, s] : {std::pair{"spec", spec},
+                                 std::pair{"report_spec", report_spec()}})
+    all.push_back(
+        {name, serve::encode_spec(s),
+         via([](std::string_view b) { return serve::decode_spec(b); },
+             serve::encode_spec)});
   all.push_back({"progress", serve::encode_progress({7, 1000, 123.45, 8.05}),
                  via(serve::decode_progress, serve::encode_progress)});
   serve::ServerStats stats;

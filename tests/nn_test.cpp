@@ -281,9 +281,7 @@ auto counts(const CnnCampaignResult& r) {
 }
 
 TEST(CnnCampaign, BitFlipCountsConsistent) {
-  Rng rng(9);
-  auto net = make_lenet(rng);
-  (void)train_lenet(net, rng, 300);
+  const auto net = Network::load_file(GPUFI_TEST_DATA_DIR "/lenet.gfnn");
   const auto r = run_cnn_campaign(net, CnnTask::Classification,
                                   CnnFaultModel::SingleBitFlip, nullptr,
                                   trials(25, 77));
@@ -293,9 +291,7 @@ TEST(CnnCampaign, BitFlipCountsConsistent) {
 }
 
 TEST(CnnCampaign, TileModelProducesCriticalsOnLeNet) {
-  Rng rng(10);
-  auto net = make_lenet(rng);
-  (void)train_lenet(net, rng, 800);
+  const auto net = Network::load_file(GPUFI_TEST_DATA_DIR "/lenet.gfnn");
   // Tile patterns and errors come from the committed RTL characterization.
   const auto db =
       syndrome::Database::load_file(GPUFI_TEST_DATA_DIR "/syndromes.db");

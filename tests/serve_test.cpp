@@ -55,6 +55,14 @@ CampaignSpec small_rtl_spec() {
   return spec;
 }
 
+/// small_rtl_spec's attribution report over `module` ("all": six modules).
+CampaignSpec small_report_spec(const std::string& module) {
+  auto spec = small_rtl_spec();
+  spec.kind = CampaignKind::Report;
+  spec.module = module;
+  return spec;
+}
+
 /// A small cnn spec over the committed weights and syndrome DB.
 CampaignSpec small_cnn_spec() {
   CampaignSpec spec;
@@ -150,6 +158,16 @@ TEST(Protocol, UnknownFrameTypeByteIsRejected) {
   EXPECT_EQ(decode_frame(wire, out, consumed), DecodeStatus::BadType);
   wire[4] = 42;  // above the enum range
   EXPECT_EQ(decode_frame(wire, out, consumed), DecodeStatus::BadType);
+  // Retired report request and reply; the fabric frames after them keep
+  // their numbers.
+  for (const char retired : {9, 10}) {
+    wire[4] = retired;
+    EXPECT_EQ(decode_frame(wire, out, consumed), DecodeStatus::BadType)
+        << int{retired};
+  }
+  wire[4] = static_cast<char>(FrameType::Hello);
+  EXPECT_EQ(static_cast<int>(FrameType::Hello), 11);
+  EXPECT_EQ(decode_frame(wire, out, consumed), DecodeStatus::Ok);
 }
 
 TEST(Protocol, SocketFramingRoundTripsAndSignalsEof) {
@@ -220,10 +238,12 @@ TEST(Protocol, SpecRoundTripsEveryField) {
   spec.progress_interval = 25;
   spec.plan = "target_err=0.05,min_trials=16";
   spec.workers = 4;
-  std::string error;
-  const auto back = decode_spec(encode_spec(spec), &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_EQ(*back, spec);
+  for (const auto& s : {spec, small_report_spec("all")}) {
+    std::string error;
+    const auto back = decode_spec(encode_spec(s), &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_EQ(*back, s);
+  }
 }
 
 TEST(Protocol, SpecDecodeIsStrict) {
@@ -244,6 +264,13 @@ TEST(Protocol, SpecDecodeIsStrict) {
   EXPECT_FALSE(decode_spec("kind=rtl\naccel=full\n", &error).has_value());
   EXPECT_EQ(error, "unknown spec key: accel");
   EXPECT_FALSE(decode_spec("kind=marsupial\n", &error).has_value());
+  // "all" names every module of a report only, and a report never fans
+  // out.
+  EXPECT_FALSE(decode_spec("kind=rtl\nmodule=all\n", &error).has_value());
+  EXPECT_FALSE(decode_spec("kind=report\nmodule=nosuch\n", &error)
+                   .has_value());
+  EXPECT_FALSE(decode_spec("kind=report\nworkers=2\n", &error).has_value());
+  EXPECT_NE(error.find("fan out"), std::string::npos);
   // Unknown fault-model token rejected for every kind.
   EXPECT_FALSE(decode_spec("kind=rtl\nfault_model=gamma\n", &error)
                    .has_value());
@@ -502,7 +529,7 @@ TEST(Serve, ResultCarriesVersionedRecordsAndAttribution) {
 }
 
 TEST(Serve, ServedReportIsByteIdenticalToOffline) {
-  // The Report frame: a ReportRequest carrying an rtl spec answers with the
+  // query_report submits an rtl spec as a report; the Result payload is the
   // attribution-report JSON, byte-identical to the offline rendering of the
   // same spec (`gpufi report --json`).
   const auto spec = small_rtl_spec();
@@ -524,8 +551,9 @@ TEST(Serve, ServedReportIsByteIdenticalToOffline) {
 
 TEST(Serve, ReportRequestRejectsNonRtlSpecs) {
   // Attribution joins RTL fault cycles to the golden liveness timeline;
-  // software/CNN campaigns have no such timeline, so the server answers a
-  // non-rtl ReportRequest with an Error frame instead of a Report.
+  // software/CNN campaigns have no such timeline, so neither report
+  // wrapper turns a non-rtl spec into a report: query_report refuses it
+  // before the daemon admits a job, and run_report_offline throws.
   CampaignSpec spec;
   spec.kind = CampaignKind::Sw;
   spec.app = "mxm";
@@ -541,6 +569,52 @@ TEST(Serve, ReportRequestRejectsNonRtlSpecs) {
   const auto served = query_report(cfg.socket_path, spec, {}, &error);
   EXPECT_FALSE(served.has_value());
   EXPECT_NE(error.find("rtl"), std::string::npos);
+  EXPECT_EQ(server.stats().accepted, 0u);
+  EXPECT_THROW(run_report_offline(spec), std::invalid_argument);
+  server.shutdown(/*drain=*/true);
+}
+
+TEST(Serve, ServedAllModuleReportMatchesOfflineWithMonotoneProgress) {
+  // A report over all six modules is one Submit answered by one Result
+  // frame. Its Progress frames count trials over modules x faults, so
+  // they never go backwards and the last one reads done == total.
+  const auto spec = small_report_spec("all");
+  const std::string offline = run_report_offline(spec);
+
+  ServerConfig cfg;
+  cfg.socket_path = "serve_report_all.sock";
+  cfg.workers = 1;
+  Server server(cfg);
+  server.start();
+  std::vector<exec::Progress> frames;
+  const auto outcome = submit_campaign(
+      cfg.socket_path, spec,
+      [&](const exec::Progress& p) { frames.push_back(p); });
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.result, offline);
+  ASSERT_FALSE(frames.empty());
+  for (std::size_t i = 1; i < frames.size(); ++i)
+    EXPECT_GE(frames[i].done, frames[i - 1].done) << "frame " << i;
+  EXPECT_EQ(frames.back().done, 6 * spec.faults);
+  EXPECT_EQ(frames.back().total, 6 * spec.faults);
+  server.shutdown(/*drain=*/true);
+}
+
+TEST(Serve, RtlCampaignAndReportShareOneCachedGolden) {
+  // A report prepares its golden through the rtl runner's cache key: an
+  // rtl spec and a report of the same op, range and seed build one.
+  ServerConfig cfg;
+  cfg.socket_path = "serve_report_golden.sock";
+  cfg.workers = 1;
+  Server server(cfg);
+  server.start();
+  ASSERT_TRUE(submit_campaign(cfg.socket_path, small_rtl_spec()).ok);
+  const auto report = submit_campaign(cfg.socket_path,
+                                      small_report_spec("all"));
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_TRUE(wait_until([&] { return server.stats().completed == 2; }));
+  EXPECT_EQ(server.stats().golden_cache.misses, 1u);
+  EXPECT_EQ(server.stats().golden_cache.hits, 1u);
   server.shutdown(/*drain=*/true);
 }
 
@@ -819,6 +893,16 @@ TEST(Serve, InvalidSpecGetsAnErrorFrame) {
   EXPECT_EQ(reply.type, FrameType::Error);
   EXPECT_NE(reply.payload.find("NOSUCH"), std::string::npos);
   ::close(fd);
+  // A report's module seeds have no rtl shard equivalent, so the daemon
+  // names why it will not fan one out instead of running it.
+  auto fanned_report = small_report_spec("fp32");
+  fanned_report.workers = 2;
+  const int report_fd = submit_raw(cfg.socket_path, fanned_report);
+  const Frame report_reply = read_final(report_fd);
+  ::close(report_fd);
+  EXPECT_EQ(report_reply.type, FrameType::Error);
+  EXPECT_NE(report_reply.payload.find("cannot fan out"), std::string::npos)
+      << report_reply.payload;
   server.shutdown(true);
 }
 
