@@ -18,8 +18,10 @@ int main() {
   const auto db = bench::shared_database();
   const auto models = bench::shared_models();
   const std::size_t n = bench::cnn_injections();
+  Rng holdout(777);
   std::printf("LeNet holdout accuracy %.2f, mean params/layer %.0f\n",
-              models.lenet_accuracy, models.lenet.mean_params_per_layer());
+              nn::digit_accuracy(models.lenet, holdout, 300),
+              models.lenet.mean_params_per_layer());
   std::printf("YoloLite mean params/layer %.0f\n\n",
               models.yololite.mean_params_per_layer());
 

@@ -15,8 +15,10 @@ int main() {
   std::printf("loading syndrome database and trained LeNet...\n");
   const auto db = core::ensure_syndrome_database("gpufi_data/syndromes.db");
   const auto models = core::ensure_models("gpufi_data");
+  Rng holdout(777);
   std::printf("LeNet holdout accuracy: %.1f%%  (%zu parameters)\n\n",
-              100 * models.lenet_accuracy, models.lenet.total_params());
+              100 * nn::digit_accuracy(models.lenet, holdout, 300),
+              models.lenet.total_params());
 
   exec::EngineConfig ec;
   ec.n_trials = 120;

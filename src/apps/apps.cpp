@@ -53,11 +53,8 @@ std::vector<std::uint32_t> read_region(const Device& dev, std::uint32_t base,
 // MxM
 // ===========================================================================
 
-namespace {
-
-/// Tiled C = A x B; one 8x8 tile of C per CTA, sA/sB staged per K-tile.
-Program mxm_kernel() {
-  KernelBuilder kb("mxm");
+Program gemm_kernel() {
+  KernelBuilder kb("gemm");
   kb.shared(128);
   kb.mov(0, S(SReg::TID_X));
   kb.mov(1, S(SReg::TID_Y));
@@ -70,15 +67,15 @@ Program mxm_kernel() {
   kb.imad(12, R(1), I(8), R(0));  // shared idx = ty*8+tx
   kb.imul(13, R(1), I(8));        // ty*8
   kb.loop_begin();
-  kb.isetp(0, CmpOp::LT, R(7), S(SReg::PARAM4));  // t < n/8
+  kb.isetp(0, CmpOp::LT, R(7), S(SReg::PARAM5));  // t < K/8
   kb.loop_while(0);
-  // sA[idx] = A[row*n + t*8+tx]
+  // sA[idx] = A[row*K + t*8+tx]
   kb.imad(8, R(7), I(8), R(0));
-  kb.imad(8, R(4), S(SReg::PARAM3), R(8));
+  kb.imad(8, R(4), S(SReg::PARAM4), R(8));
   kb.iadd(8, R(8), S(SReg::PARAM0));
   kb.gld(9, R(8));
   kb.sts(R(12), R(9));
-  // sB[idx] = B[(t*8+ty)*n + col]
+  // sB[idx] = B[(t*8+ty)*N + col]
   kb.imad(8, R(7), I(8), R(1));
   kb.imad(8, R(8), S(SReg::PARAM3), R(5));
   kb.iadd(8, R(8), S(SReg::PARAM1));
@@ -99,11 +96,14 @@ Program mxm_kernel() {
   kb.bar();
   kb.iadd(7, R(7), I(1));
   kb.loop_end();
+  // C[row*N + col] = acc
   kb.imad(8, R(4), S(SReg::PARAM3), R(5));
   kb.iadd(8, R(8), S(SReg::PARAM2));
   kb.gst(R(8), R(6));
   return kb.build();
 }
+
+namespace {
 
 std::vector<float> mxm_inputs(unsigned n, std::uint64_t salt) {
   Rng rng(0xA11CE + salt);
@@ -125,8 +125,8 @@ HpcApp make_mxm(unsigned n) {
     const auto a = mxm_inputs(n, 1), b = mxm_inputs(n, 2);
     dev.copy_in_f(a_base, a.data(), words);
     dev.copy_in_f(b_base, b.data(), words);
-    Program p = mxm_kernel();
-    p.params = {a_base, b_base, c_base, n, n / 8, 0, 0, 0};
+    Program p = gemm_kernel();
+    p.params = {a_base, b_base, c_base, n, n, n / 8, 0, 0};
     // The golden run retires ~11*n^3 thread-instructions, so this watchdog
     // is ~11x golden at every problem size (a flat budget is dozens of
     // times golden for small n, and a fault-induced hang then costs dozens

@@ -16,6 +16,12 @@ struct HpcApp {
   std::function<bool(const emu::Device&)> validate;
 };
 
+/// Tiled GEMM C[M x N] = A[M x K] x B[K x N], every dimension a multiple of
+/// 8: one 8x8 tile of C per CTA (grid N/8 x M/8, 8x8 threads), K staged
+/// through shared memory 8 wide. Params: A, B, C, N, K, K/8. MxM and every
+/// CNN layer (nn::GpuInference) launch it.
+isa::Program gemm_kernel();
+
 /// Dense matrix multiplication C = A x B with shared-memory 8x8 tiling
 /// (the paper's 512x512 workload, scaled to n x n).
 HpcApp make_mxm(unsigned n = 48);

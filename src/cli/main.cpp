@@ -16,8 +16,8 @@
 //
 // Common options: --faults N / --injections N, --seed S, --db PATH,
 // --jobs N (0 = GPUFI_JOBS env or all hardware threads; results are
-// byte-identical whatever the value), --progress-interval N (progress
-// callback every N trials), --trace-out FILE (JSONL span/event trace).
+// byte-identical whatever the value), --trace-out FILE (JSONL span/event
+// trace).
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error.
 #include <unistd.h>
@@ -112,10 +112,9 @@ int usage() {
       "for any worker count, including after worker failures (lost shards\n"
       "are retried on surviving workers).\n"
       "\n"
-      "observability: --progress-interval N fires the progress callback\n"
-      "every N trials (N >= 1; deterministic whatever --jobs), --trace-out\n"
-      "FILE writes a JSONL span/event trace, `gpufi status --metrics`\n"
-      "scrapes the daemon's Prometheus text exposition.\n"
+      "observability: --trace-out FILE writes a JSONL span/event trace,\n"
+      "`gpufi status --metrics` scrapes the daemon's Prometheus text\n"
+      "exposition.\n"
       "\n"
       "exit codes: 0 success, 1 runtime failure, 2 usage error (including\n"
       "a syndrome database with an incompatible schema version).\n");
@@ -300,11 +299,6 @@ struct Options {
         spec.plan = val;
         std::string err;
         ok = vocab::parse_plan(val, &err).has_value() || fail(err);
-      } else if (key == "--progress-interval") {
-        const auto iv = vocab::parse_progress_interval(val);
-        spec.progress_interval = iv.value_or(0);
-        ok = iv || fail("option --progress-interval expects a positive "
-                        "trial count, got '" + val + "'");
       } else {
         ok = fail("unknown option " + key);
       }
@@ -477,7 +471,6 @@ int cmd_build_db(int argc, char** argv) {
   cfg.jobs = o->spec.jobs;
   cfg.fault_models = o->fault_models;
   cfg.progress = stderr_progress("campaigns");
-  cfg.progress_interval = o->spec.progress_interval;
   std::printf("building syndrome database (%zu faults/campaign, models: %s)"
               "...\n",
               cfg.faults_per_campaign, o->spec.fault_model.c_str());

@@ -36,12 +36,6 @@ struct RtlCharacterizationConfig {
   std::vector<rtl::FaultModel> fault_models = {rtl::FaultModel::Transient};
   /// Optional telemetry (campaigns finished, campaigns/sec, ETA).
   exec::ProgressFn progress;
-  /// Fire `progress` every this many finished campaigns; 0 = automatic.
-  std::size_t progress_interval = 0;
-  /// Optional cooperative stop flag. A cancelled build throws (a partial
-  /// characterization must never be mistaken for — or saved as — the real
-  /// database).
-  const exec::CancelToken* cancel = nullptr;
 
   /// The paper's published campaign scale (Sec. V-B).
   static RtlCharacterizationConfig paper_scale() {
@@ -70,12 +64,11 @@ syndrome::Database ensure_syndrome_database(
 struct Models {
   nn::Network lenet;
   nn::Network yololite;
-  double lenet_accuracy = 0.0;
-  double yolo_f1 = 0.0;
 };
 
-/// Trains LeNet and YoloLite on the synthetic datasets (or loads cached
-/// weights from `dir` if present) and reports holdout quality.
+/// Loads LeNet and YoloLite from `dir`, or trains them on the synthetic
+/// datasets and saves them there first. Scoring a network is the caller's
+/// business (nn::digit_accuracy).
 Models ensure_models(const std::string& dir, unsigned lenet_steps = 4000,
                      unsigned yolo_steps = 4000);
 

@@ -88,16 +88,13 @@ struct ProgressMeter::State {
   ProgressFn fn;
 };
 
-ProgressMeter::ProgressMeter(std::size_t total, const ProgressFn& fn,
-                             std::size_t step_override)
+ProgressMeter::ProgressMeter(std::size_t total, const ProgressFn& fn)
     : state_(nullptr) {
   if (!fn || total == 0) return;
   state_ = new State;
   state_->total = total;
-  // ~50 reports per batch keeps terminal progress readable at any scale;
-  // --progress-interval pins the step instead.
-  state_->step = step_override ? step_override
-                               : std::max<std::size_t>(1, total / 50);
+  // ~50 reports per batch keeps terminal progress readable at any scale.
+  state_->step = std::max<std::size_t>(1, total / 50);
   state_->next_report = state_->step;
   state_->start = std::chrono::steady_clock::now();
   state_->fn = fn;
@@ -144,17 +141,14 @@ void note_stop(const CancelToken* cancel) {
 }  // namespace detail
 
 void run_indexed(std::size_t n, unsigned jobs, const ProgressFn& progress,
-                 const std::function<void(std::size_t)>& task,
-                 const CancelToken* cancel, std::size_t progress_interval) {
+                 const std::function<void(std::size_t)>& task) {
   if (n == 0) return;
-  detail::ProgressMeter meter(n, progress, progress_interval);
+  detail::ProgressMeter meter(n, progress);
   ThreadPool pool(resolve_jobs(jobs, n));
   pool.run(n, [&](std::size_t i) {
-    if (cancel && cancel->stopped()) return;
     task(i);
     meter.add(1);
   });
-  detail::note_stop(cancel);
 }
 
 }  // namespace gpufi::exec

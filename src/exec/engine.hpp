@@ -17,8 +17,8 @@
 namespace gpufi::exec {
 
 /// Cooperative stop flag threaded through the campaign loops: `cancel()` (or
-/// an expired deadline) makes `run_trials`/`run_indexed` skip every trial not
-/// yet started and return the partial merge. Cancellation never tears a trial
+/// an expired deadline) makes `run_trials` skip every trial not yet started
+/// and return the partial merge. Cancellation never tears a trial
 /// mid-flight — completed trials are still byte-identical to an uncancelled
 /// run's prefix. Safe to signal from any thread (e.g. a server noticing a
 /// client disconnect) while a campaign is running.
@@ -67,38 +67,27 @@ struct TrialRange {
 };
 
 /// Parameters shared by every campaign-shaped computation: how many
-/// independent trials, the campaign seed, and how wide to run.
+/// independent trials, which of them this batch runs, the campaign seed,
+/// and how wide to run.
 struct EngineConfig {
-  std::size_t n_trials = 0;
+  std::size_t n_trials = 0;  ///< the campaign's total
+  /// Distributed sharding (gpufi-fabric): run only the global trial indices
+  /// [shard.offset, shard.offset + shard.count) of the n_trials-trial
+  /// campaign; a count of 0 runs every trial. Chunking — and therefore
+  /// per-chunk context reuse — is computed over n_trials, so a shard must
+  /// start on a chunk boundary and end on one (or at n_trials); run_trials
+  /// throws std::invalid_argument otherwise. Merging shard Results in
+  /// offset order is then identical to the single-process chunk-order
+  /// merge, byte for byte.
+  TrialRange shard;
   std::uint64_t seed = 1;
   /// Worker threads; 0 resolves to ThreadPool::default_jobs() (the GPUFI_JOBS
   /// environment variable, else the hardware concurrency).
   unsigned jobs = 0;
-  ProgressFn progress;  ///< optional
-  /// Fire `progress` every this many finished trials; 0 = automatic
-  /// (~50 reports per batch). The final done == total call always fires.
-  std::size_t progress_interval = 0;
+  ProgressFn progress;  ///< optional; ~50 reports per batch
   /// Optional cooperative stop flag: once `stopped()`, no further trial
   /// starts and run_trials returns the merge of the trials already done.
   const CancelToken* cancel = nullptr;
-  /// Distributed sharding (gpufi-fabric): this batch runs the GLOBAL trial
-  /// indices [trial_offset, trial_offset + n_trials) of a campaign of
-  /// trial_total trials. trial_total == 0 means standalone (offset must be
-  /// 0). Chunking — and therefore per-chunk context reuse — is computed
-  /// over trial_total, so a shard must start on a chunk boundary and end on
-  /// one (or at trial_total); run_trials throws std::invalid_argument
-  /// otherwise. Merging shard Results in offset order is then identical to
-  /// the single-process chunk-order merge, byte for byte.
-  std::size_t trial_offset = 0;
-  std::size_t trial_total = 0;
-
-  /// Sets n_trials, trial_offset and trial_total to run `range` of a
-  /// campaign of `total` trials; an empty range runs the whole campaign.
-  void set_trials(std::size_t total, TrialRange range) {
-    n_trials = range.count == 0 ? total : range.count;
-    trial_offset = range.count == 0 ? 0 : range.offset;
-    trial_total = range.count == 0 ? 0 : total;
-  }
 };
 
 /// Resolves the user-facing jobs knob against the batch width: 0 becomes
@@ -126,13 +115,11 @@ std::vector<TrialRange> plan_shards(std::size_t n_trials,
 
 namespace detail {
 
-/// Thread-safe throttled progress reporting (count- and rate-based).
-/// `step_override` fixes the report interval in trials; 0 keeps the
-/// automatic ~50-reports-per-batch throttle.
+/// Thread-safe throttled progress reporting: about 50 reports per batch,
+/// and always the final done == total.
 class ProgressMeter {
  public:
-  ProgressMeter(std::size_t total, const ProgressFn& fn,
-                std::size_t step_override = 0);
+  ProgressMeter(std::size_t total, const ProgressFn& fn);
   ~ProgressMeter();
   /// Records `n` finished trials, possibly firing the callback.
   void add(std::size_t n);
@@ -150,7 +137,8 @@ void note_stop(const CancelToken* cancel);
 
 /// The common shape of every fault-injection campaign in this codebase
 /// ("golden run, then N independent trials, classify each, merge"): runs
-/// `cfg.n_trials` trials and returns the merged Result.
+/// the `cfg.shard` trials of a `cfg.n_trials`-trial campaign (all of them
+/// when the shard is empty) and returns the merged Result.
 ///
 /// Determinism contract — the returned Result is byte-identical for every
 /// `jobs` value, because:
@@ -174,22 +162,22 @@ template <class Result, class MakeContext, class Trial>
 Result run_trials(const EngineConfig& cfg, MakeContext&& make_context,
                   Trial&& trial) {
   Result merged{};
-  const std::size_t n = cfg.n_trials;
-  if (n == 0) return merged;
-  // Sharded batches chunk over the campaign TOTAL so a shard's chunks line
-  // up exactly with the chunks the single-process run would have formed —
-  // the alignment the byte-identical distributed merge rests on.
-  const std::size_t total = cfg.trial_total == 0 ? n : cfg.trial_total;
+  // A shard chunks over the campaign total, so its chunks line up exactly
+  // with the chunks the single-process run would have formed — the
+  // alignment the byte-identical distributed merge rests on.
+  const std::size_t total = cfg.n_trials;
   const std::size_t chunk = chunk_size(total);
-  if (cfg.trial_total == 0 && cfg.trial_offset != 0)
-    throw std::invalid_argument("trial_offset requires trial_total");
-  if (cfg.trial_offset % chunk != 0)
+  const TrialRange range =
+      cfg.shard.count == 0 ? TrialRange{0, total} : cfg.shard;
+  if (range.offset % chunk != 0)
     throw std::invalid_argument("shard offset not chunk-aligned");
-  if (cfg.trial_offset + n > total)
-    throw std::invalid_argument("shard range exceeds trial_total");
-  if (n % chunk != 0 && cfg.trial_offset + n != total)
+  if (range.count > total || range.offset > total - range.count)
+    throw std::invalid_argument("shard range exceeds n_trials");
+  if (range.count % chunk != 0 && range.offset + range.count != total)
     throw std::invalid_argument(
-        "shard must end on a chunk boundary or at trial_total");
+        "shard must end on a chunk boundary or at n_trials");
+  const std::size_t n = range.count;
+  if (n == 0) return merged;
   obs::Span span("exec.run_trials");
   span.set("trials", static_cast<std::uint64_t>(n));
   const bool obs_on = obs::enabled();
@@ -200,7 +188,7 @@ Result run_trials(const EngineConfig& cfg, MakeContext&& make_context,
   // shards. Observability reads trial timings but never writes anything a
   // trial can see, so Results are identical with obs on/off/compiled-out.
   std::vector<obs::Shard> obs_shards(obs_on ? n_chunks : 0);
-  detail::ProgressMeter meter(n, cfg.progress, cfg.progress_interval);
+  detail::ProgressMeter meter(n, cfg.progress);
   const CancelToken* cancel = cfg.cancel;
   ThreadPool pool(resolve_jobs(cfg.jobs, n_chunks));
   pool.run(n_chunks, [&](std::size_t c) {
@@ -208,8 +196,8 @@ Result run_trials(const EngineConfig& cfg, MakeContext&& make_context,
     obs::ScopedShard scoped(obs_on ? &obs_shards[c] : nullptr);
     auto context = make_context();
     Result& shard = shards[c];
-    const std::size_t lo = cfg.trial_offset + c * chunk;
-    const std::size_t hi = std::min(cfg.trial_offset + n, lo + chunk);
+    const std::size_t lo = range.offset + c * chunk;
+    const std::size_t hi = std::min(range.offset + n, lo + chunk);
     std::size_t done = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       if (cancel && cancel->stopped()) break;
@@ -241,11 +229,8 @@ Result run_trials(const EngineConfig& cfg, MakeContext&& make_context,
 /// Index-addressed fan-out for heterogeneous work (e.g. one task per RTL
 /// characterization campaign): runs task(i) for i in [0, n) on `jobs`
 /// workers and reports progress per finished task. Results should be written
-/// to pre-sized slots so completion order cannot leak into the output. A
-/// stopped `cancel` token skips every task not yet started.
+/// to pre-sized slots so completion order cannot leak into the output.
 void run_indexed(std::size_t n, unsigned jobs, const ProgressFn& progress,
-                 const std::function<void(std::size_t)>& task,
-                 const CancelToken* cancel = nullptr,
-                 std::size_t progress_interval = 0);
+                 const std::function<void(std::size_t)>& task);
 
 }  // namespace gpufi::exec

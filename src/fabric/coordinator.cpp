@@ -293,8 +293,7 @@ void Coordinator::dispatch_loop() {
         req.job = shard.job;
         req.shard_index = shard.index;
         req.n_shards = shard.n_shards;
-        req.trial_offset = shard.range.offset;
-        req.trial_count = shard.range.count;
+        req.range = shard.range;
         req.spec = it->second->spec;
         w.inflight = shard;
         w.dispatched_at = std::chrono::steady_clock::now();

@@ -69,8 +69,8 @@ std::string encode_shard_request(const ShardRequest& r) {
   put_kv(out, "job", r.job);
   put_kv(out, "shard", r.shard_index);
   put_kv(out, "n_shards", r.n_shards);
-  put_kv(out, "offset", r.trial_offset);
-  put_kv(out, "count", r.trial_count);
+  put_kv(out, "offset", r.range.offset);
+  put_kv(out, "count", r.range.count);
   out += kSpecMarker;
   out += '\n';
   out += serve::encode_spec(r.spec);
@@ -85,8 +85,8 @@ std::optional<ShardRequest> decode_shard_request(std::string_view payload,
   r.job = c.take("job");
   r.shard_index = c.take<std::uint32_t>("shard");
   r.n_shards = c.take<std::uint32_t>("n_shards");
-  r.trial_offset = c.take("offset");
-  r.trial_count = c.take("count");
+  r.range.offset = c.take<std::size_t>("offset");
+  r.range.count = c.take<std::size_t>("count");
   if (c.ok && !c.rest.empty()) c.fail("unexpected shard-request key");
   if (c.ok) {
     std::string spec_err;

@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 
+#include "exec/engine.hpp"
 #include "rtlfi/campaign.hpp"
 #include "serve/protocol.hpp"
 
@@ -46,8 +47,10 @@ namespace gpufi::fabric {
 /// shard ships the public sw result instead of the old sw partial, which a
 /// v3 worker would still send. v5: cnn campaigns shard by trial range on
 /// per-trial streams and the shard request lost its `final` key, so a v4
-/// worker would answer cnn under the old single stream.
-inline constexpr std::uint32_t kFabricProtocolVersion = 5;
+/// worker would answer cnn under the old single stream. v6: the spec lost
+/// its progress-cadence key, so a v5 coordinator's requests would not
+/// decode.
+inline constexpr std::uint32_t kFabricProtocolVersion = 6;
 
 // ---------------------------------------------------------------------------
 // Control messages.
@@ -68,8 +71,7 @@ struct ShardRequest {
   std::uint64_t job = 0;          ///< coordinator-scoped job id
   std::uint32_t shard_index = 0;  ///< merge position (chunk order)
   std::uint32_t n_shards = 1;
-  std::uint64_t trial_offset = 0;
-  std::uint64_t trial_count = 0;
+  exec::TrialRange range;  ///< wire keys `offset=` and `count=`
   serve::CampaignSpec spec;
 };
 
@@ -105,7 +107,7 @@ struct ShardProgressMsg {
   std::uint64_t job = 0;
   std::uint32_t shard_index = 0;
   std::uint64_t done = 0;   ///< trials finished within this shard
-  std::uint64_t total = 0;  ///< == trial_count
+  std::uint64_t total = 0;  ///< == range.count
 };
 
 std::string encode_shard_progress(const ShardProgressMsg& m);

@@ -131,12 +131,11 @@ std::string Worker::execute(const ShardRequest& req) {
   // merges: the lossless rtl partial, or the public payload of the range
   // (sw and cnn; a planned sw campaign runs whole). caches_ is the
   // per-worker golden and DB tier.
-  const exec::TrialRange shard{req.trial_offset, req.trial_count};
   if (spec.kind == serve::CampaignKind::Rtl ||
       spec.kind == serve::CampaignKind::Tmxm)
     return encode_rtl_partial(
-        serve::run_rtl_spec(spec, caches_, progress, nullptr, shard));
-  return serve::run_spec(spec, caches_, progress, nullptr, shard);
+        serve::run_rtl_spec(spec, caches_, progress, nullptr, req.range));
+  return serve::run_spec(spec, caches_, progress, nullptr, req.range);
 }
 
 void Worker::run_loop() {

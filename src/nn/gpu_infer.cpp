@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "apps/apps.hpp"
 #include "isa/isa.hpp"
 #include "swfi/swfi.hpp"
 
@@ -16,56 +17,6 @@ namespace {
 constexpr std::uint64_t kLaunchBudget = 40'000'000;  ///< per-launch watchdog
 
 unsigned pad8(unsigned v) { return (v + 7) & ~7u; }
-
-/// Rectangular tiled GEMM kernel: C[mp x np] = A[mp x kp] * B[kp x np].
-/// One 8x8 tile of C per CTA; K consumed in 8-wide tiles via shared memory.
-/// params: A, B, C, np, kp, kp/8.
-Program gemm_kernel() {
-  KernelBuilder kb("nn_gemm");
-  kb.shared(128);
-  kb.mov(0, S(SReg::TID_X));
-  kb.mov(1, S(SReg::TID_Y));
-  kb.mov(2, S(SReg::CTAID_X));
-  kb.mov(3, S(SReg::CTAID_Y));
-  kb.imad(4, R(3), I(8), R(1));   // row
-  kb.imad(5, R(2), I(8), R(0));   // col
-  kb.movf(6, 0.0f);               // acc
-  kb.movi(7, 0);                  // ktile
-  kb.imad(12, R(1), I(8), R(0));  // shared idx
-  kb.imul(13, R(1), I(8));        // ty*8
-  kb.loop_begin();
-  kb.isetp(0, CmpOp::LT, R(7), S(SReg::PARAM5));
-  kb.loop_while(0);
-  kb.imad(8, R(7), I(8), R(0));                    // t*8+tx
-  kb.imad(8, R(4), S(SReg::PARAM4), R(8));         // row*kp + ...
-  kb.iadd(8, R(8), S(SReg::PARAM0));
-  kb.gld(9, R(8));
-  kb.sts(R(12), R(9));                             // sA
-  kb.imad(8, R(7), I(8), R(1));                    // t*8+ty
-  kb.imad(8, R(8), S(SReg::PARAM3), R(5));         // (t*8+ty)*np + col
-  kb.iadd(8, R(8), S(SReg::PARAM1));
-  kb.gld(9, R(8));
-  kb.sts(R(12), R(9), 64);                         // sB
-  kb.bar();
-  kb.movi(10, 0);
-  kb.loop_begin();
-  kb.isetp(1, CmpOp::LT, R(10), I(8));
-  kb.loop_while(1);
-  kb.iadd(11, R(13), R(10));
-  kb.lds(14, R(11));
-  kb.imad(11, R(10), I(8), R(0));
-  kb.lds(15, R(11), 64);
-  kb.ffma(6, R(14), R(15), R(6));
-  kb.iadd(10, R(10), I(1));
-  kb.loop_end();
-  kb.bar();
-  kb.iadd(7, R(7), I(1));
-  kb.loop_end();
-  kb.imad(8, R(4), S(SReg::PARAM3), R(5));
-  kb.iadd(8, R(8), S(SReg::PARAM2));
-  kb.gst(R(8), R(6));
-  return kb.build();
-}
 
 }  // namespace
 
@@ -125,10 +76,13 @@ std::optional<std::vector<float>> GpuInference::run(
     throw std::invalid_argument("GpuInference: device too small");
   // One program for every layer's launch: a static instruction is the same
   // isa::Instr across launches (the sticky injector re-fires on it).
-  Program kernel = gemm_kernel();
+  Program kernel = apps::gemm_kernel();
 
   Tensor t = input;
-  std::vector<float> vec;  // flat activations once the fc stack starts
+  // Flat activations once the fc stack starts; a conv-less network's first
+  // fc reads the input.
+  std::vector<float> vec;
+  if (net_->convs.empty()) vec = input.data;
 
   for (std::size_t li = 0; li < gemms_.size(); ++li) {
     const Gemm& g = gemms_[li];
@@ -246,14 +200,18 @@ CnnCampaignResult run_cnn_campaign(const Network& net, CnnTask task,
   if (model == CnnFaultModel::TiledMxM && !db)
     throw std::invalid_argument(
         "t-MxM CNN campaign needs a syndrome database");
-  GpuInference infer(net);
-
   // Fixed deterministic input (one inference per injection, as NVBitFI
   // evaluates one application execution per fault).
   Rng input_rng(0xCAFE);
   const Tensor input = task == CnnTask::Classification
                            ? make_digit(input_rng).image
                            : make_scene(input_rng).image;
+  if (net.in_c != input.c || net.in_h != input.h || net.in_w != input.w)
+    throw std::invalid_argument(
+        net.name + " does not take this task's " + std::to_string(input.c) +
+        "x" + std::to_string(input.h) + "x" + std::to_string(input.w) +
+        " input");
+  GpuInference infer(net);
 
   // Golden run: profile (for injection targeting) + reference output.
   swfi::ProfileHook profile;
@@ -262,6 +220,11 @@ CnnCampaignResult run_cnn_campaign(const Network& net, CnnTask task,
   gopts.hook = &profile;
   const auto golden = infer.run(golden_dev, input, gopts);
   if (!golden) throw std::runtime_error("golden CNN inference failed");
+  // decode_detections reads a full detection grid.
+  if (task == CnnTask::Detection &&
+      golden->size() != std::size_t{kDetChannels} * kDetGrid * kDetGrid)
+    throw std::invalid_argument(net.name +
+                                " does not output a detection grid");
   const unsigned golden_class =
       task == CnnTask::Classification ? classify(*golden) : 0;
   const auto golden_dets = task == CnnTask::Detection

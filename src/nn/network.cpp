@@ -583,13 +583,16 @@ double train_lenet(Network& net, Rng& rng, unsigned steps) {
       dout[i] = p[i] - (i == sample.label ? 1.0f : 0.0f);
     tr.backward(cache, std::move(dout));
   }
-  // Holdout accuracy.
-  unsigned correct = 0, total = 500;
-  for (unsigned i = 0; i < total; ++i) {
+  return digit_accuracy(net, rng, 500);
+}
+
+double digit_accuracy(const Network& net, Rng& rng, unsigned n) {
+  unsigned correct = 0;
+  for (unsigned i = 0; i < n; ++i) {
     const DigitSample sample = make_digit(rng);
     if (classify(host_forward(net, sample.image)) == sample.label) ++correct;
   }
-  return static_cast<double>(correct) / total;
+  return static_cast<double>(correct) / n;
 }
 
 namespace {
@@ -873,6 +876,11 @@ Network Network::load_file(const std::string& path) {
   net.in_c = get_u32("input shape");
   net.in_h = get_u32("input shape");
   net.in_w = get_u32("input shape");
+  // Layer shapes must chain, because both forward passes index activations
+  // through them: each conv takes the shape before it (the network input
+  // first) with a kernel that fits it, and each fc takes the flattened size
+  // before it.
+  std::uint32_t ch = net.in_c, h = net.in_h, w = net.in_w;
   const auto n_convs = get_u32("conv count");
   if (n_convs > left) throw bad("conv count exceeds the file");
   for (std::uint32_t i = 0; i < n_convs; ++i) {
@@ -884,10 +892,19 @@ Network Network::load_file(const std::string& path) {
     c.k = get_u32("conv shape");
     c.relu = get_u32("conv flags") != 0;
     c.pool = get_u32("conv flags") != 0;
+    const std::string layer = "conv " + std::to_string(i);
+    if (c.in_c != ch || c.in_h != h || c.in_w != w)
+      throw bad(layer + " does not take the shape before it");
+    if (c.k == 0 || c.k > h || c.k > w)
+      throw bad(layer + " kernel does not fit its input");
     c.weights = get_vec(product({c.out_c, c.in_c, c.k, c.k}), "conv weights");
     c.bias = get_vec(c.out_c, "conv bias");
+    ch = c.out_c;
+    h = c.out_h();
+    w = c.out_w();
     net.convs.push_back(std::move(c));
   }
+  std::uint64_t flat = product({ch, h, w});
   const auto n_fcs = get_u32("fc count");
   if (n_fcs > left) throw bad("fc count exceeds the file");
   for (std::uint32_t i = 0; i < n_fcs; ++i) {
@@ -895,8 +912,13 @@ Network Network::load_file(const std::string& path) {
     f.in_n = get_u32("fc shape");
     f.out_n = get_u32("fc shape");
     f.relu = get_u32("fc flags") != 0;
+    if (f.in_n != flat)
+      throw bad("fc " + std::to_string(i) + " has " +
+                std::to_string(f.in_n) + " inputs for the " +
+                std::to_string(flat) + " values before it");
     f.weights = get_vec(product({f.in_n, f.out_n}), "fc weights");
     f.bias = get_vec(f.out_n, "fc bias");
+    flat = f.out_n;
     net.fcs.push_back(std::move(f));
   }
   if (left != 0) throw bad(std::to_string(left) + " trailing bytes");

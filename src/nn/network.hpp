@@ -116,8 +116,13 @@ SceneSample make_scene(Rng& rng);
 /// maximum relative error across sampled parameters (should be < 1e-2).
 double gradient_check(Rng& rng);
 
-/// Trains LeNet on synthetic digits; returns holdout accuracy.
+/// Trains LeNet on synthetic digits; returns its digit_accuracy on a
+/// 500-digit holdout drawn from `rng` after training.
 double train_lenet(Network& net, Rng& rng, unsigned steps = 6000);
+
+/// Share of `n` fresh synthetic digits drawn from `rng` that `net`
+/// classifies correctly on the host.
+double digit_accuracy(const Network& net, Rng& rng, unsigned n);
 
 /// Trains the detector on synthetic scenes (objectness BCE + class CE +
 /// box L2 on positive cells); returns holdout detection F1.

@@ -325,11 +325,11 @@ CampaignResult run_campaign(const Workload& w, const CampaignConfig& cfg,
       cfg.acceleration != Acceleration::None ? golden.trace.get() : nullptr;
 
   exec::EngineConfig ec;
-  ec.set_trials(cfg.n_faults, {cfg.shard_offset, cfg.shard_count});
+  ec.n_trials = cfg.n_faults;
+  ec.shard = {cfg.shard_offset, cfg.shard_count};
   ec.seed = cfg.seed;
   ec.jobs = cfg.jobs;
   ec.progress = cfg.progress;
-  ec.progress_interval = cfg.progress_interval;
   ec.cancel = cfg.cancel;
   CampaignResult result = exec::run_trials<CampaignResult>(
       ec, [] { return std::make_unique<rtl::Sm>(); },

@@ -117,8 +117,6 @@ struct CampaignConfig {
   Acceleration acceleration = Acceleration::CheckpointEarlyExit;
   /// Optional telemetry callback (injections done, injections/sec, ETA).
   exec::ProgressFn progress;
-  /// Fire `progress` every this many injections; 0 = automatic throttle.
-  std::size_t progress_interval = 0;
   /// Optional cooperative stop flag (see exec::CancelToken): a stopped token
   /// aborts the trial loop early; the partial result must then be discarded
   /// by the caller (it is a valid prefix merge, not the full campaign).

@@ -10,8 +10,6 @@ std::shared_ptr<const syndrome::Database> Caches::syndrome_db(
     core::RtlCharacterizationConfig cfg;
     cfg.jobs = jobs;
     cfg.progress = db_build_progress_;
-    // Deliberately no cancel token: the build is shared by (and cached for)
-    // every future request, so one impatient client must not abort it.
     return core::ensure_syndrome_database(path, cfg);
   });
 }

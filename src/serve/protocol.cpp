@@ -167,7 +167,6 @@ std::string encode_spec(const CampaignSpec& spec) {
   put_kv(out, "models", spec.models_dir);
   put_kv(out, "priority", std::to_string(spec.priority));
   put_kv(out, "deadline_ms", spec.deadline_ms);
-  put_kv(out, "progress_interval", spec.progress_interval);
   put_kv(out, "plan", spec.plan);
   return out;
 }
@@ -213,7 +212,6 @@ std::optional<CampaignSpec> decode_spec(std::string_view payload,
         if (key == "workers") return number(spec.workers);
         if (key == "priority") return number(spec.priority);
         if (key == "deadline_ms") return number(spec.deadline_ms);
-        if (key == "progress_interval") return number(spec.progress_interval);
         if (key == "plan") { spec.plan = value; return true; }
         return fail("unknown spec key: " + std::string(key));
       });

@@ -179,8 +179,6 @@ struct CampaignSpec {
   std::string models_dir = "gpufi_data";
   int priority = 0;              ///< lower value = served earlier
   std::uint64_t deadline_ms = 0;  ///< wall-clock budget; 0 = none
-  /// Progress frame every this many trials; 0 = automatic throttle.
-  std::size_t progress_interval = 0;
   /// sw: adaptive-plan vocabulary "target_err=X[,min_trials=N][,max_trials=N]"
   /// (vocab::parse_plan); empty = fixed-trial campaign. Non-empty is only
   /// valid for kind=sw.

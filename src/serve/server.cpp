@@ -55,7 +55,6 @@ swfi::Config sw_config_for_spec(const CampaignSpec& spec, Caches& caches,
   cfg.seed = spec.seed;
   cfg.jobs = spec.jobs;
   cfg.progress = progress;
-  cfg.progress_interval = spec.progress_interval;
   cfg.cancel = cancel;
   db = syndrome_db_for_spec(spec, caches);
   throw_if_stopped(cancel);  // the shared build may outlive a deadline
@@ -91,7 +90,6 @@ RtlRun rtl_run_for_spec(const CampaignSpec& spec, Caches& caches,
   cc.fault_duration = spec.fault_duration;
   cc.burst_period = spec.burst_period;
   cc.progress = progress;
-  cc.progress_interval = spec.progress_interval;
   cc.cancel = cancel;
   // The golden half is keyed by workload identity (the name encodes
   // op/range or tile kind) and value seed; every runner prepares the same
@@ -193,11 +191,11 @@ nn::CnnCampaignResult run_cnn_spec(const CampaignSpec& spec, Caches& caches,
   const auto models = core::ensure_models(spec.models_dir);
   throw_if_stopped(cancel);
   exec::EngineConfig ec;
-  ec.set_trials(spec.injections, shard);
+  ec.n_trials = spec.injections;
+  ec.shard = shard;
   ec.seed = spec.seed;
   ec.jobs = spec.jobs;
   ec.progress = progress;
-  ec.progress_interval = spec.progress_interval;
   ec.cancel = cancel;
   const bool lenet = spec.net == "lenet";
   auto r = nn::run_cnn_campaign(

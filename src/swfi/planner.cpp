@@ -199,7 +199,6 @@ PlanResult detail::run_planned_campaign(const App& app, const Config& cfg,
         ec.seed = rng_derive(cfg.seed, kPlannerStream, round);
         ec.jobs = cfg.jobs;
         ec.progress = cfg.progress;
-        ec.progress_interval = cfg.progress_interval;
         ec.cancel = cfg.cancel;
         return exec::run_trials<RoundResult>(
             ec,

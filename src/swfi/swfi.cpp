@@ -334,11 +334,11 @@ Result run_sw_campaign(const App& app, const Config& cfg, bool replay) {
   const Golden golden = run_golden(app, cfg.interpreter);
 
   exec::EngineConfig ec;
-  ec.set_trials(cfg.n_injections, {cfg.shard_offset, cfg.shard_count});
+  ec.n_trials = cfg.n_injections;
+  ec.shard = {cfg.shard_offset, cfg.shard_count};
   ec.seed = cfg.seed;
   ec.jobs = cfg.jobs;
   ec.progress = cfg.progress;
-  ec.progress_interval = cfg.progress_interval;
   ec.cancel = cfg.cancel;
   Result result = exec::run_trials<Result>(
       ec,

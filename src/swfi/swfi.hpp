@@ -193,8 +193,6 @@ struct Config {
   unsigned jobs = 0;
   /// Optional telemetry callback (injections done, injections/sec, ETA).
   exec::ProgressFn progress;
-  /// Fire `progress` every this many injections; 0 = automatic throttle.
-  std::size_t progress_interval = 0;
   /// Optional cooperative stop flag: a stopped token aborts the injection
   /// loop early (partial results must be discarded by the caller).
   const exec::CancelToken* cancel = nullptr;

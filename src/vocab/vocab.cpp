@@ -53,13 +53,14 @@ std::optional<swfi::Plan> parse_plan(std::string_view s, std::string* error) {
         return std::nullopt;
       }
       seen = true;
-      const auto n = parse_progress_interval(value);
-      if (!n) {
+      const auto n = kv::parse_number<std::int64_t>(value);
+      if (!n || *n <= 0) {
         fail(error,
              "plan: " + std::string(key) + " must be a positive integer");
         return std::nullopt;
       }
-      (key == "min_trials" ? plan.min_trials : plan.max_trials) = *n;
+      (key == "min_trials" ? plan.min_trials : plan.max_trials) =
+          static_cast<std::size_t>(*n);
     } else {
       fail(error, "plan: unknown key '" + std::string(key) + "'");
       return std::nullopt;
@@ -152,12 +153,6 @@ std::optional<nn::CnnFaultModel> parse_cnn_model(std::string_view s) {
   if (s == "syndrome") return nn::CnnFaultModel::RelativeError;
   if (s == "tmxm") return nn::CnnFaultModel::TiledMxM;
   return std::nullopt;
-}
-
-std::optional<std::size_t> parse_progress_interval(std::string_view s) {
-  const auto v = kv::parse_number<std::int64_t>(s);
-  if (!v || *v <= 0) return std::nullopt;
-  return static_cast<std::size_t>(*v);
 }
 
 bool is_known_app(std::string_view s) {

@@ -44,15 +44,10 @@ std::optional<swfi::FaultModel> parse_sw_model(std::string_view s);
 /// CNN fault-model token: bitflip|syndrome|tmxm.
 std::optional<nn::CnnFaultModel> parse_cnn_model(std::string_view s);
 
-/// Progress-interval token: a positive std::int64_t in the number grammar
-/// of common/kv.hpp ("1", "250"). Rejects zero, signs, non-digits and
-/// overflow — shared by the CLI `--progress-interval` flag and the
-/// serve-spec codec so both layers accept exactly the same strings.
-std::optional<std::size_t> parse_progress_interval(std::string_view s);
-
 /// Adaptive-plan token: "target_err=X[,min_trials=N][,max_trials=N]".
 /// target_err is required and must be in (0, 0.5]; min/max_trials are
-/// positive and max_trials >= min_trials when both are given. Strict:
+/// positive std::int64_t values in the number grammar of common/kv.hpp and
+/// max_trials >= min_trials when both are given. Strict:
 /// unknown or duplicate keys reject. On failure returns nullopt and, when
 /// `error` is non-null, stores a one-line reason. Shared by the CLI
 /// `--plan` flag and the serve-spec codec so both layers accept exactly the

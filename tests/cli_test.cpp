@@ -104,6 +104,9 @@ const std::vector<Case>& cases() {
       // The reference RTL levels are test oracles, not a CLI option.
       {"rtl_bad_accel", 2, "usage.txt",
        {"rtl", "FFMA", "fp32", "--accel", "full"}},
+      // Progress runs at one automatic cadence; there is no flag for it.
+      {"rtl_progress_interval", 2, "usage.txt",
+       {"rtl", "FFMA", "fp32", "--progress-interval", "5"}},
       {"sw_bad_plan", 2, "usage.txt",
        {"sw", "mxm", "bitflip", "--plan", "target_err=2"}},
       {"rtl_fault_model_list", 2, "usage.txt",

@@ -2,7 +2,8 @@
 // boundary: serve frames, specs (a report spec among them), progress and
 // stats payloads, every fabric control message, the lossless rtl partial,
 // the sw and cnn results (the sw and cnn shard partials), the --plan
-// vocabulary, the endpoint grammar and the syndrome database.
+// vocabulary, the endpoint grammar, the syndrome database and .gfnn
+// network weights.
 //
 // Each decoder starts from one golden encoding. From one fixed seed, every
 // mutant applies one or two of: a bit flip, a byte replaced from the
@@ -10,13 +11,20 @@
 // with another decoder's encoding, or a number token replaced by -1, +1,
 // 99999999999, 18446744073709551616 or nan. The invariant: the decoder
 // either rejects the mutant (nullopt, or std::runtime_error for the
-// database) or accepts it, and re-encoding the decoded value and decoding
-// that again gives the same bytes. Nothing may crash or hang.
+// database and the weights) or accepts it, and re-encoding the decoded
+// value and decoding that again gives the same bytes. Nothing may crash or
+// hang.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -27,6 +35,7 @@
 #include "common/rng.hpp"
 #include "fabric/protocol.hpp"
 #include "fabric/transport.hpp"
+#include "nn/network.hpp"
 #include "rtlfi/campaign.hpp"
 #include "rtlfi/microbench.hpp"
 #include "serve/protocol.hpp"
@@ -80,7 +89,6 @@ serve::CampaignSpec full_spec() {
   spec.models_dir = "some/dir";
   spec.priority = -2;
   spec.deadline_ms = 1500;
-  spec.progress_interval = 25;
   spec.plan = "target_err=0.05,min_trials=16,max_trials=90";
   return spec;
 }
@@ -155,6 +163,45 @@ std::string db_text() {
   return os.str();
 }
 
+/// Writes `bytes` to a file unique to this process and returns its path.
+std::string scratch_file(const std::string& bytes) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("gpufi_codec_fuzz_" + std::to_string(::getpid()) + ".gfnn"))
+          .string();
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  return path;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+/// A small network's saved bytes: a 1x6x6 input, a pooled 3x3 conv to 2
+/// channels (2x2x2) and an fc to 3 outputs.
+std::string gfnn_bytes() {
+  nn::Network net;
+  net.name = "tiny";
+  net.in_h = net.in_w = 6;
+  nn::ConvLayer c{1, 6, 6, 2, 3};
+  c.pool = true;
+  c.weights = {0.5f, -1, 2, 0.25f, 1e-3f, -7, 3, 1, 0,
+               1,    2,  3, 4,     5,     6,  7, 8, 9};
+  c.bias = {0.125f, -0.5f};
+  net.convs.push_back(c);
+  nn::FcLayer f{8, 3};
+  f.relu = false;
+  for (int i = 0; i < 24; ++i) f.weights.push_back(0.1f * float(i - 12));
+  f.bias = {1, -1, 0.5f};
+  net.fcs.push_back(f);
+  const std::string path = scratch_file("");
+  net.save_file(path);
+  std::string bytes = read_file(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
 std::string plan_text(const swfi::Plan& p) {
   std::string s = "target_err=" + kv::format_double(p.target_err) +
                   ",min_trials=" + std::to_string(p.min_trials);
@@ -198,8 +245,7 @@ std::vector<Codec> codecs() {
   req.job = 9;
   req.shard_index = 2;
   req.n_shards = 6;
-  req.trial_offset = 32;
-  req.trial_count = 16;
+  req.range = {32, 16};
   req.spec = spec;
   all.push_back(
       {"shard_request", encode_shard_request(req),
@@ -242,6 +288,19 @@ std::vector<Codec> codecs() {
          } catch (const std::runtime_error&) {
            return std::nullopt;
          }
+       }});
+  all.push_back(
+      {"gfnn", gfnn_bytes(),
+       [](std::string_view bytes) -> std::optional<std::string> {
+         const std::string path = scratch_file(std::string(bytes));
+         std::optional<std::string> out;
+         try {
+           nn::Network::load_file(path).save_file(path);
+           out = read_file(path);
+         } catch (const std::runtime_error&) {
+         }
+         std::remove(path.c_str());
+         return out;
        }});
   return all;
 }

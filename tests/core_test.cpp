@@ -106,24 +106,6 @@ TEST_F(CoreFacade, BuildDatabaseMultiModelGridAppendsModelBlocks) {
   EXPECT_EQ(saved(build_syndrome_database(cfg)), saved(both));
 }
 
-TEST_F(CoreFacade, BuildDatabaseCancellationThrowsInsteadOfTruncating) {
-  // A cancelled characterization must never masquerade as a complete
-  // database: both a pre-stopped token and one tripped mid-grid via the
-  // progress callback surface as an error, not a short DB.
-  auto cfg = tiny_cfg();
-  exec::CancelToken pre;
-  pre.cancel();
-  cfg.cancel = &pre;
-  EXPECT_THROW(build_syndrome_database(cfg), std::runtime_error);
-
-  exec::CancelToken mid;
-  cfg.cancel = &mid;
-  cfg.progress = [&](const exec::Progress& p) {
-    if (p.done >= 3) mid.cancel();
-  };
-  EXPECT_THROW(build_syndrome_database(cfg), std::runtime_error);
-}
-
 TEST_F(CoreFacade, EnsureDatabaseCaches) {
   const auto path = (dir_ / "db.txt").string();
   const auto db1 = ensure_syndrome_database(path, tiny_cfg());
@@ -143,8 +125,8 @@ TEST_F(CoreFacade, EnsureModelsTrainsOnceAndReloads) {
   const auto reloaded = ensure_models(dir_.string());
   EXPECT_EQ(reloaded.lenet.total_params(), models.lenet.total_params());
   EXPECT_EQ(reloaded.yololite.convs.size(), models.yololite.convs.size());
-  // Reload recomputes holdout accuracy on the cached weights.
-  EXPECT_GE(reloaded.lenet_accuracy, 0.0);
+  // The reload reads back the weights the training run saved.
+  EXPECT_EQ(reloaded.lenet.fcs[0].weights, models.lenet.fcs[0].weights);
 }
 
 TEST(EmuExtras, OobWrapModeWrapsInsteadOfTrapping) {

@@ -166,61 +166,6 @@ TEST(Engine, ProgressReachesTotalExactlyOnceAtEnd) {
   EXPECT_EQ(last_done.load(), 200u);
 }
 
-TEST(Engine, ProgressIntervalControlsCallbackCadence) {
-  // --progress-interval N overrides the adaptive ~2% step: interval=1 fires
-  // once per trial, interval=10 roughly every 10 trials. The exact set of
-  // `done` values reported is deterministic per interval (the meter counts
-  // completions; which worker crosses a step boundary is scheduling-
-  // dependent, but every boundary is crossed exactly once at jobs=1).
-  for (const std::size_t interval : {std::size_t{1}, std::size_t{10}}) {
-    exec::EngineConfig ec;
-    ec.n_trials = 100;
-    ec.seed = 1;
-    ec.jobs = 1;
-    ec.progress_interval = interval;
-    std::vector<std::size_t> reported;
-    ec.progress = [&](const exec::Progress& p) {
-      reported.push_back(p.done);
-    };
-    exec::run_trials<ToyResult>(
-        ec, [] { return 0; },
-        [](int&, std::size_t, Rng&, ToyResult& shard) { ++shard.sum; });
-    ASSERT_FALSE(reported.empty());
-    EXPECT_EQ(reported.back(), 100u);
-    // Single-threaded, every interval boundary reports exactly once.
-    std::vector<std::size_t> expected;
-    for (std::size_t d = interval; d <= 100; d += interval)
-      expected.push_back(d);
-    if (expected.empty() || expected.back() != 100) expected.push_back(100);
-    EXPECT_EQ(reported, expected) << "interval=" << interval;
-  }
-}
-
-TEST(Engine, ProgressIntervalDoesNotAffectResults) {
-  // The progress cadence is telemetry only: trial outcomes are identical
-  // with any interval, at any job count.
-  const ToyResult base = toy_campaign(123, 1);
-  for (const std::size_t interval : {std::size_t{1}, std::size_t{7}}) {
-    for (const unsigned jobs : {1u, 4u}) {
-      exec::EngineConfig ec;
-      ec.n_trials = 123;
-      ec.seed = 99;
-      ec.jobs = jobs;
-      ec.progress_interval = interval;
-      ec.progress = [](const exec::Progress&) {};
-      const ToyResult r = exec::run_trials<ToyResult>(
-          ec, [] { return 0; },
-          [](int&, std::size_t, Rng& rng, ToyResult& shard) {
-            const std::uint64_t d = rng();
-            shard.sum += d;
-            shard.draws.push_back(d);
-          });
-      EXPECT_EQ(r.sum, base.sum);
-      EXPECT_EQ(r.draws, base.draws);
-    }
-  }
-}
-
 // ------------------------------------------------------------- edge cases
 
 TEST(Engine, ZeroTrialsRunsNothing) {

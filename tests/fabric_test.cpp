@@ -206,16 +206,14 @@ TEST(Protocol, ControlMessagesRoundTrip) {
   req.job = 9;
   req.shard_index = 2;
   req.n_shards = 6;
-  req.trial_offset = 32;
-  req.trial_count = 16;
+  req.range = {32, 16};
   req.spec = rtl_spec();
   const auto rd = decode_shard_request(encode_shard_request(req));
   ASSERT_TRUE(rd);
   EXPECT_EQ(rd->job, 9u);
   EXPECT_EQ(rd->shard_index, 2u);
   EXPECT_EQ(rd->n_shards, 6u);
-  EXPECT_EQ(rd->trial_offset, 32u);
-  EXPECT_EQ(rd->trial_count, 16u);
+  EXPECT_EQ(rd->range, (exec::TrialRange{32, 16}));
   EXPECT_EQ(serve::encode_spec(rd->spec), serve::encode_spec(req.spec));
 
   // Result/error payloads are raw bytes: embedded newlines and the marker
@@ -466,8 +464,7 @@ TEST(Fabric, ProgressIsMonotonicAndBounded) {
   Fleet fleet("fab_progress.sock", 2);
   std::mutex mu;
   std::vector<std::size_t> dones;
-  auto spec = rtl_spec();
-  spec.progress_interval = 4;
+  const auto spec = rtl_spec();
   const std::string served =
       fleet.coord->run_job(spec, 2,
                            [&](const exec::Progress& p) {

@@ -149,6 +149,87 @@ TEST(Network, LoadRejectsAFlippedCount) {
   std::remove(path.c_str());
 }
 
+/// A conv layer of the given shape whose weight and bias counts match it.
+ConvLayer conv_layer(unsigned in_c, unsigned in_h, unsigned in_w,
+                     unsigned out_c, unsigned k) {
+  ConvLayer c{in_c, in_h, in_w, out_c, k};
+  c.weights.assign(static_cast<std::size_t>(out_c) * in_c * k * k, 0.01f);
+  c.bias.assign(out_c, 0.0f);
+  return c;
+}
+
+/// An fc layer of the given shape whose weight and bias counts match it.
+FcLayer fc_layer(unsigned in_n, unsigned out_n) {
+  FcLayer f{in_n, out_n};
+  f.weights.assign(static_cast<std::size_t>(in_n) * out_n, 0.01f);
+  f.bias.assign(out_n, 0.0f);
+  return f;
+}
+
+/// Saves `net` and expects loading it back to throw, naming the file. Every
+/// count in the file matches its layer, so only a shape rule can reject it.
+void expect_saved_rejects(const Network& net) {
+  const std::string path = scratch_path();
+  net.save_file(path);
+  expect_load_rejects(path);
+  std::remove(path.c_str());
+}
+
+TEST(Network, LoadRejectsAFirstConvThatDoesNotTakeTheInput) {
+  Rng rng(10);
+  Network net = make_lenet(rng);
+  net.in_h = 30;
+  expect_saved_rejects(net);
+}
+
+TEST(Network, LoadRejectsAConvThatDoesNotTakeThePreviousOutput) {
+  Rng rng(11);
+  Network net = make_lenet(rng);
+  net.convs[1].in_h = 13;  // conv1 outputs 6x12x12
+  expect_saved_rejects(net);
+}
+
+TEST(Network, LoadRejectsAKernelThatDoesNotFitItsInput) {
+  for (const unsigned k : {0u, 5u}) {
+    Network net;
+    net.in_h = net.in_w = 4;
+    net.convs.push_back(conv_layer(1, 4, 4, 2, k));
+    expect_saved_rejects(net);
+  }
+}
+
+TEST(Network, LoadRejectsAnFcThatDoesNotTakeTheFlattenedSize) {
+  Rng rng(12);
+  Network net = make_lenet(rng);
+  net.fcs[0] = fc_layer(128, 120);  // conv2 flattens to 16x4x4 = 256
+  expect_saved_rejects(net);
+}
+
+TEST(Network, ConvlessNetworkFeedsTheInputToItsFirstFc) {
+  Network net;
+  net.fcs.push_back(fc_layer(100, 10));  // the input flattens to 784
+  expect_saved_rejects(net);
+
+  Rng rng(13);
+  net.fcs[0] = fc_layer(28 * 28, 10);
+  for (float& w : net.fcs[0].weights)
+    w = static_cast<float>(rng.uniform(-0.1, 0.1));
+  const std::string path = scratch_path();
+  net.save_file(path);
+  const Network loaded = Network::load_file(path);
+  std::remove(path.c_str());
+  GpuInference infer(loaded);
+  Rng ir(6);
+  const auto img = make_digit(ir).image;
+  emu::Device dev(infer.device_words());
+  const auto out = infer.run(dev, img, {});
+  ASSERT_TRUE(out.has_value());
+  const auto host = host_forward(loaded, img);
+  ASSERT_EQ(out->size(), host.size());
+  for (std::size_t i = 0; i < host.size(); ++i)
+    EXPECT_NEAR((*out)[i], host[i], 1e-4f);
+}
+
 TEST(Dataset, DigitsAreDeterministicAndLabelled) {
   Rng a(9), b(9);
   const auto s1 = make_digit(a), s2 = make_digit(b);
@@ -313,6 +394,30 @@ TEST(CnnCampaign, TileModelWithoutDatabaseThrows) {
                std::invalid_argument);
 }
 
+TEST(CnnCampaign, RejectsANetworkThatDoesNotTakeItsTasksInput) {
+  Rng rng(14);
+  const auto lenet = make_lenet(rng);    // 1x28x28
+  const auto yolo = make_yololite(rng);  // 1x32x32
+  EXPECT_THROW(run_cnn_campaign(yolo, CnnTask::Classification,
+                                CnnFaultModel::SingleBitFlip, nullptr,
+                                trials(1, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(run_cnn_campaign(lenet, CnnTask::Detection,
+                                CnnFaultModel::SingleBitFlip, nullptr,
+                                trials(1, 1)),
+               std::invalid_argument);
+}
+
+TEST(CnnCampaign, RejectsADetectorWithoutADetectionGrid) {
+  Rng rng(15);
+  auto yolo = make_yololite(rng);
+  yolo.convs.back() = conv_layer(24, 6, 6, kDetChannels - 1, 1);
+  EXPECT_THROW(run_cnn_campaign(yolo, CnnTask::Detection,
+                                CnnFaultModel::SingleBitFlip, nullptr,
+                                trials(1, 1)),
+               std::invalid_argument);
+}
+
 TEST(CnnCampaign, ResultsAreIdenticalAcrossJobsAndTrialRanges) {
   // 33 trials form chunks of 16, 16 and 1, so jobs 2 and 4 interleave the
   // chunks differently and [0, 16) + [16, 33) is a chunk-aligned split.
@@ -330,11 +435,10 @@ TEST(CnnCampaign, ResultsAreIdenticalAcrossJobsAndTrialRanges) {
     for (const unsigned jobs : {2u, 4u})
       EXPECT_EQ(counts(run(trials(33, 5, jobs))), counts(whole))
           << cnn_fault_model_name(model) << " at jobs " << jobs;
-    auto head = trials(16, 5);
-    head.trial_total = 33;
-    auto tail = trials(17, 5, 2);
-    tail.trial_offset = 16;
-    tail.trial_total = 33;
+    auto head = trials(33, 5);
+    head.shard = {0, 16};
+    auto tail = trials(33, 5, 2);
+    tail.shard = {16, 17};
     auto merged = run(head);
     merged.merge(run(tail));
     EXPECT_EQ(counts(merged), counts(whole)) << cnn_fault_model_name(model);

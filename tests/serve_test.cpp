@@ -235,7 +235,6 @@ TEST(Protocol, SpecRoundTripsEveryField) {
   spec.models_dir = "some/dir";
   spec.priority = -2;
   spec.deadline_ms = 1500;
-  spec.progress_interval = 25;
   spec.plan = "target_err=0.05,min_trials=16";
   spec.workers = 4;
   for (const auto& s : {spec, small_report_spec("all")}) {
@@ -263,6 +262,10 @@ TEST(Protocol, SpecDecodeIsStrict) {
   // The reference RTL levels are test oracles, not a spec field.
   EXPECT_FALSE(decode_spec("kind=rtl\naccel=full\n", &error).has_value());
   EXPECT_EQ(error, "unknown spec key: accel");
+  // The progress cadence is not a spec field either.
+  EXPECT_FALSE(
+      decode_spec("kind=rtl\nprogress_interval=25\n", &error).has_value());
+  EXPECT_EQ(error, "unknown spec key: progress_interval");
   EXPECT_FALSE(decode_spec("kind=marsupial\n", &error).has_value());
   // "all" names every module of a report only, and a report never fans
   // out.
@@ -316,19 +319,23 @@ TEST(Protocol, SpecDecodeIsStrict) {
   EXPECT_EQ(widest->priority, -2147483647 - 1);
 }
 
-TEST(Vocab, ParseProgressIntervalIsStrict) {
-  // The shared CLI/wire validator: positive decimal integers only. A zero
-  // interval, any non-digit and overflow-range inputs are usage errors.
-  EXPECT_EQ(vocab::parse_progress_interval("1"), std::size_t{1});
-  EXPECT_EQ(vocab::parse_progress_interval("2500"), std::size_t{2500});
-  EXPECT_FALSE(vocab::parse_progress_interval("0").has_value());
-  EXPECT_FALSE(vocab::parse_progress_interval("").has_value());
-  EXPECT_FALSE(vocab::parse_progress_interval("-5").has_value());
-  EXPECT_FALSE(vocab::parse_progress_interval("12x").has_value());
-  EXPECT_FALSE(vocab::parse_progress_interval("1e3").has_value());
+TEST(Vocab, PlanTrialCountsAreStrict) {
+  // A plan's trial counts are positive decimal integers only. Zero, any
+  // non-digit and overflow-range inputs are usage errors.
+  const auto min_trials = [](const std::string& n) {
+    return vocab::parse_plan("target_err=0.1,min_trials=" + n);
+  };
+  ASSERT_TRUE(min_trials("1").has_value());
+  EXPECT_EQ(min_trials("1")->min_trials, std::size_t{1});
+  ASSERT_TRUE(min_trials("2500").has_value());
+  EXPECT_EQ(min_trials("2500")->min_trials, std::size_t{2500});
+  EXPECT_FALSE(min_trials("0").has_value());
+  EXPECT_FALSE(min_trials("").has_value());
+  EXPECT_FALSE(min_trials("-5").has_value());
+  EXPECT_FALSE(min_trials("12x").has_value());
+  EXPECT_FALSE(min_trials("1e3").has_value());
   // 19 digits exceeds the accepted width.
-  EXPECT_FALSE(
-      vocab::parse_progress_interval("9999999999999999999").has_value());
+  EXPECT_FALSE(min_trials("9999999999999999999").has_value());
 }
 
 TEST(Protocol, ProgressRoundTrips) {
