@@ -123,6 +123,13 @@ class Trap : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Calls f(lane) for every set bit of `mask`, in ascending lane order.
+template <class F>
+void for_each_lane(std::uint32_t mask, F&& f) {
+  for (; mask; mask &= mask - 1)
+    f(static_cast<unsigned>(std::countr_zero(mask)));
+}
+
 }  // namespace
 
 /// Lane slabs of the SoA interpreter (see run_cta_soa), allocated once per
@@ -493,17 +500,19 @@ void Device::run_cta_scalar(const isa::Program& prog, const LaunchDims& dims,
 //
 // CTA state is structure-of-arrays: register r of warp w lives in one
 // contiguous 32-lane slab (regs[(w*kNumRegs + r)*32 + lane]), predicates
-// likewise. An instruction is decoded once per warp; operands are gathered
-// once (register operands alias their slab, immediates broadcast, special
-// registers compute per lane); all lanes then execute through the
-// isa::*_lanes kernels in tight branch-free loops. The retire-callback loop
-// runs in lane order with the same RetireInfo values as the scalar path, so
-// hooks — including the injection hook targeting the N-th dynamic candidate
-// — observe a bit-identical stream (tests/emu_equiv_test.cpp pins this).
-// Lanes of one warp-instruction are independent (each lane reads and writes
-// only its own slab index), so gather -> batch compute -> ordered retire is
-// exactly the scalar interleaving. Memory instructions stay lane-sequential
-// to preserve trap ordering and later-lane-wins store semantics.
+// likewise. An instruction is decoded once per warp. A dense mask (at least
+// half the lanes live) gathers its operands once (register operands alias
+// their slab, immediates broadcast) and runs all lanes through the
+// isa::*_lanes kernels in tight branch-free loops. A sparse mask steps each
+// live lane in turn: read its operands, compute, retire, write back. The
+// retire-callback loop runs in lane order with the same RetireInfo values as
+// the scalar path, so hooks — including the injection hook targeting the
+// N-th dynamic candidate — observe a bit-identical stream
+// (tests/emu_equiv_test.cpp pins this). Lanes of one warp-instruction are
+// independent (each lane reads and writes only its own slab index, and
+// special registers are per-lane constants), so both orders are exactly the
+// scalar interleaving. Memory instructions stay lane-sequential to preserve
+// trap ordering and later-lane-wins store semantics.
 // ---------------------------------------------------------------------------
 
 void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
@@ -549,82 +558,75 @@ void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
     warp_state[w].stack.push_back(StackEntry{0, -1, mask});
   }
 
-  // Gathers one source operand for the lanes of warp `w` named by
-  // `lanes` (pure reads, so hoisting the whole gather ahead of the lane
-  // loop is equivalent to the scalar path's per-lane resolve). Dense
-  // masks fill the whole 32-slot scratch in straight-line loops; sparse
-  // masks (a mostly-exited warp, e.g. one lane spinning on a corrupted
-  // loop counter) fill only the live slots by bit-iterating the mask,
-  // so per-retired-instruction cost tracks live lanes, not warp width.
-  const auto gather = [&](const Operand& op, unsigned w,
-                          std::uint32_t lanes,
-                          std::uint32_t* scratch) -> const std::uint32_t* {
-    const bool dense = std::popcount(lanes) * 2 >= int{kWarpSize};
-    const auto broadcast = [&](std::uint32_t v) {
-      if (dense) {
-        for (unsigned l = 0; l < kWarpSize; ++l) scratch[l] = v;
-      } else {
-        for (std::uint32_t m = lanes; m; m &= m - 1)
-          scratch[std::countr_zero(m)] = v;
-      }
-      return scratch;
-    };
-    const auto per_lane = [&](auto&& value_of) {
-      if (dense) {
-        for (unsigned l = 0; l < kWarpSize; ++l) scratch[l] = value_of(l);
-      } else {
-        for (std::uint32_t m = lanes; m; m &= m - 1) {
-          const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-          scratch[l] = value_of(l);
+  // Lane `lane` of warp `w`'s value of `op` (pure reads).
+  const auto operand = [&](const Operand& op, unsigned w,
+                           unsigned lane) -> std::uint32_t {
+    const unsigned tid = w * kWarpSize + lane;
+    switch (op.kind) {
+      case OperandKind::Reg:
+        return reg_slab(w, op.value & (isa::kNumRegs - 1))[lane];
+      case OperandKind::Imm:
+        return op.value;
+      case OperandKind::Special:
+        switch (static_cast<isa::SReg>(op.value)) {
+          case isa::SReg::TID_X: return tid % dims.block_x;
+          case isa::SReg::TID_Y: return tid / dims.block_x;
+          case isa::SReg::NTID_X: return dims.block_x;
+          case isa::SReg::NTID_Y: return dims.block_y;
+          case isa::SReg::CTAID_X: return cta_x;
+          case isa::SReg::CTAID_Y: return cta_y;
+          case isa::SReg::NCTAID_X: return dims.grid_x;
+          case isa::SReg::NCTAID_Y: return dims.grid_y;
+          case isa::SReg::LANEID: return lane;
+          default: {
+            const auto p = static_cast<unsigned>(op.value) -
+                           static_cast<unsigned>(isa::SReg::PARAM0);
+            return prog.params[p % isa::kNumParams];
+          }
         }
-      }
-      return scratch;
-    };
+      case OperandKind::None:
+        return 0;
+    }
+    return 0;
+  };
+
+  // Gathers one source operand for all lanes of warp `w` (dense masks; pure
+  // reads, so hoisting the whole gather ahead of the lane loop is equivalent
+  // to the scalar path's per-lane resolve).
+  const auto gather = [&](const Operand& op, unsigned w,
+                          std::uint32_t* scratch) -> const std::uint32_t* {
     switch (op.kind) {
       case OperandKind::Reg:
         return reg_slab(w, op.value & (isa::kNumRegs - 1));
       case OperandKind::Imm:
-        return broadcast(op.value);
-      case OperandKind::Special: {
-        const unsigned base_tid = w * kWarpSize;
+        std::fill_n(scratch, kWarpSize, op.value);
+        return scratch;
+      case OperandKind::Special:
         switch (static_cast<isa::SReg>(op.value)) {
           case isa::SReg::TID_X:
-            return per_lane(
-                [&](unsigned l) { return (base_tid + l) % dims.block_x; });
           case isa::SReg::TID_Y:
-            return per_lane(
-                [&](unsigned l) { return (base_tid + l) / dims.block_x; });
-          case isa::SReg::NTID_X: return broadcast(dims.block_x);
-          case isa::SReg::NTID_Y: return broadcast(dims.block_y);
-          case isa::SReg::CTAID_X: return broadcast(cta_x);
-          case isa::SReg::CTAID_Y: return broadcast(cta_y);
-          case isa::SReg::NCTAID_X: return broadcast(dims.grid_x);
-          case isa::SReg::NCTAID_Y: return broadcast(dims.grid_y);
           case isa::SReg::LANEID:
-            return per_lane([](unsigned l) { return l; });
-          default: {
-            const auto p = static_cast<unsigned>(op.value) -
-                           static_cast<unsigned>(isa::SReg::PARAM0);
-            return broadcast(prog.params[p % isa::kNumParams]);
-          }
+            for (unsigned l = 0; l < kWarpSize; ++l)
+              scratch[l] = operand(op, w, l);
+            return scratch;
+          default:  // the same in every lane
+            std::fill_n(scratch, kWarpSize, operand(op, w, 0));
+            return scratch;
         }
-      }
       case OperandKind::None:
         return kZeros;
     }
     return kZeros;
   };
 
-  bool all_done = false;
-  while (!all_done) {
-    bool progressed = false;
-    all_done = true;
+  // Round-robin as in the scalar path. `live` counts the warps not done,
+  // `waiting` those of them at the barrier, which is released at the end of
+  // the round in which every live warp has arrived.
+  unsigned live = warps, waiting = 0;
+  while (live != 0) {
     for (unsigned w = 0; w < warps; ++w) {
       Warp& warp = warp_state[w];
-      if (warp.done) continue;
-      all_done = false;
-      if (warp.at_barrier) continue;
-      progressed = true;
+      if (warp.done || warp.at_barrier) continue;
 
       StackEntry& top = warp.stack.back();
       const std::int32_t pc = top.pc;
@@ -642,30 +644,33 @@ void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
             pred_slab(w, static_cast<unsigned>(instr.pred) &
                              (isa::kNumPreds - 1));
         std::uint32_t on = 0;
-        for (std::uint32_t m = top.mask; m; m &= m - 1) {
-          const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+        for_each_lane(top.mask, [&](unsigned l) {
           on |= static_cast<std::uint32_t>(ps[l] != 0) << l;
-        }
+        });
         if (instr.pred_neg) on = ~on;
         exec &= on;
       }
+      const bool dense = std::popcount(exec) * 2 >= int{kWarpSize};
+
+      // The RetireInfo of lane `lane`'s retirement, already counted.
+      const auto retire_info = [&](unsigned lane) {
+        RetireInfo info;
+        info.instr = &instr;
+        info.pc = pc;
+        info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
+        info.dyn_index = retired - 1;
+        return info;
+      };
 
       auto count_retired = [&](std::uint32_t mask) {
         if (!hook) {
           retired += static_cast<unsigned>(std::popcount(mask));
           return;
         }
-        for (std::uint32_t m = mask; m; m &= m - 1) {
-          const unsigned lane =
-              static_cast<unsigned>(std::countr_zero(m));
+        for_each_lane(mask, [&](unsigned lane) {
           ++retired;
-          RetireInfo info;
-          info.instr = &instr;
-          info.pc = pc;
-          info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
-          info.dyn_index = retired - 1;
-          hook->on_count(info);
-        }
+          hook->on_count(retire_info(lane));
+        });
       };
 
       switch (instr.op) {
@@ -700,6 +705,7 @@ void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
         case Opcode::BAR: {
           count_retired(exec);
           warp.at_barrier = true;
+          ++waiting;
           top.pc = pc + 1;
           break;
         }
@@ -710,50 +716,45 @@ void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
         }
         case Opcode::ISETP:
         case Opcode::FSETP: {
-          const std::uint32_t* a = gather(instr.a, w, exec, imm_a);
-          const std::uint32_t* b = gather(instr.b, w, exec, imm_b);
-          if (std::popcount(exec) * 2 >= int{kWarpSize}) {
-            if (instr.op == Opcode::ISETP)
+          const bool is_int = instr.op == Opcode::ISETP;
+          std::uint8_t* dst = pred_slab(w, instr.dst & (isa::kNumPreds - 1));
+          // Retires lane `lane`'s compare of (a, b) with result `v`.
+          const auto retire = [&](unsigned lane, std::uint32_t a,
+                                  std::uint32_t b, bool v) {
+            ++retired;
+            if (hook) {
+              RetireInfo info = retire_info(lane);
+              info.a = a;
+              info.b = b;
+              hook->on_count(info);
+              hook->on_pred_retire(info, v);
+            }
+            dst[lane] = v ? 1 : 0;
+          };
+          if (!dense) {
+            for_each_lane(exec, [&](unsigned lane) {
+              const std::uint32_t a = operand(instr.a, w, lane);
+              const std::uint32_t b = operand(instr.b, w, lane);
+              retire(lane, a, b,
+                     is_int ? isa::cmp_eval_i(instr.cmp, a, b)
+                            : isa::cmp_eval_f(instr.cmp, a, b));
+            });
+          } else {
+            const std::uint32_t* a = gather(instr.a, w, imm_a);
+            const std::uint32_t* b = gather(instr.b, w, imm_b);
+            if (is_int)
               isa::cmp_lanes_i(instr.cmp, a, b, pvals);
             else
               isa::cmp_lanes_f(instr.cmp, a, b, pvals);
-          } else {
-            for (std::uint32_t m = exec; m; m &= m - 1) {
-              const unsigned l =
-                  static_cast<unsigned>(std::countr_zero(m));
-              pvals[l] = (instr.op == Opcode::ISETP
-                              ? isa::cmp_eval_i(instr.cmp, a[l], b[l])
-                              : isa::cmp_eval_f(instr.cmp, a[l], b[l]))
-                             ? 1
-                             : 0;
+            if (hook) {
+              for_each_lane(exec, [&](unsigned lane) {
+                retire(lane, a[lane], b[lane], pvals[lane] != 0);
+              });
+            } else {
+              for_each_lane(exec,
+                            [&](unsigned lane) { dst[lane] = pvals[lane]; });
+              retired += static_cast<unsigned>(std::popcount(exec));
             }
-          }
-          std::uint8_t* dst =
-              pred_slab(w, instr.dst & (isa::kNumPreds - 1));
-          if (hook) {
-            for (std::uint32_t m = exec; m; m &= m - 1) {
-              const unsigned lane =
-                  static_cast<unsigned>(std::countr_zero(m));
-              bool v = pvals[lane] != 0;
-              ++retired;
-              RetireInfo info;
-              info.instr = &instr;
-              info.pc = pc;
-              info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
-              info.dyn_index = retired - 1;
-              info.a = a[lane];
-              info.b = b[lane];
-              hook->on_count(info);
-              hook->on_pred_retire(info, v);
-              dst[lane] = v ? 1 : 0;
-            }
-          } else {
-            for (std::uint32_t m = exec; m; m &= m - 1) {
-              const unsigned lane =
-                  static_cast<unsigned>(std::countr_zero(m));
-              dst[lane] = pvals[lane];
-            }
-            retired += static_cast<unsigned>(std::popcount(exec));
           }
           top.pc = pc + 1;
           break;
@@ -766,37 +767,24 @@ void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
               instr.op == Opcode::GLD || instr.op == Opcode::LDS;
           const bool is_global =
               instr.op == Opcode::GLD || instr.op == Opcode::GST;
-          const std::uint32_t* base = gather(instr.a, w, exec, imm_a);
-          const std::uint32_t* sval =
-              is_load ? kZeros : gather(instr.b, w, exec, imm_b);
+          const std::size_t limit = is_global ? global_.size() : shared.size();
           std::uint32_t* dst = reg_slab(w, instr.dst & (isa::kNumRegs - 1));
-          // Lane-sequential: trap ordering and later-lane-wins stores.
-          for (std::uint32_t lm = exec; lm; lm &= lm - 1) {
-            const unsigned lane =
-                static_cast<unsigned>(std::countr_zero(lm));
-            std::uint32_t addr =
-                base[lane] + static_cast<std::uint32_t>(instr.imm);
-            const std::size_t limit =
-                is_global ? global_.size() : shared.size();
+          // Lane `lane`'s access at `base` (storing `sval`), in lane order:
+          // trap ordering and later-lane-wins stores.
+          const auto access = [&](unsigned lane, std::uint32_t base,
+                                  std::uint32_t sval) {
+            std::uint32_t addr = base + static_cast<std::uint32_t>(instr.imm);
             if (addr >= limit) {
               if (!cfg.oob_wraps || limit == 0)
                 throw Trap("out-of-bounds memory access");
               addr = static_cast<std::uint32_t>(addr % limit);
             }
-            std::uint32_t value;
-            if (is_load) {
-              value = is_global ? global_[addr] : shared[addr];
-            } else {
-              value = sval[lane];
-            }
+            std::uint32_t value = sval;
+            if (is_load) value = is_global ? global_[addr] : shared[addr];
             ++retired;
             if (hook) {
-              RetireInfo info;
-              info.instr = &instr;
-              info.pc = pc;
-              info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
-              info.dyn_index = retired - 1;
-              info.a = base[lane];
+              RetireInfo info = retire_info(lane);
+              info.a = base;
               info.b = value;
               hook->on_count(info);
               if (is_load) hook->on_retire(info, value);
@@ -808,61 +796,67 @@ void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
             } else {
               shared[addr] = value;
             }
+          };
+          if (!dense) {
+            for_each_lane(exec, [&](unsigned lane) {
+              access(lane, operand(instr.a, w, lane),
+                     is_load ? 0 : operand(instr.b, w, lane));
+            });
+          } else {
+            const std::uint32_t* base = gather(instr.a, w, imm_a);
+            const std::uint32_t* sval =
+                is_load ? kZeros : gather(instr.b, w, imm_b);
+            for_each_lane(exec, [&](unsigned lane) {
+              access(lane, base[lane], sval[lane]);
+            });
           }
           top.pc = pc + 1;
           break;
         }
         default: {  // data-processing instructions
-          const std::uint32_t* a = gather(instr.a, w, exec, imm_a);
-          const std::uint32_t* b = gather(instr.b, w, exec, imm_b);
-          const std::uint32_t* c = kZeros;
-          const std::uint8_t* cp = nullptr;
-          if (instr.op == Opcode::SEL) {
-            cp = pred_slab(w, instr.c.value & (isa::kNumPreds - 1));
-          } else {
-            c = gather(instr.c, w, exec, imm_c);
-          }
-          const auto nactive =
-              static_cast<unsigned>(std::popcount(exec));
-          if (nactive * 2 >= kWarpSize) {
-            isa::alu_lanes(instr.op, a, b, c, cp, vals);
-          } else if (nactive != 0) {
-            // Sparse masks: batch-computing 31 dead software-FP lanes
-            // costs more than it saves — fall back to active lanes only.
-            for (std::uint32_t m = exec; m; m &= m - 1) {
-              const unsigned lane =
-                  static_cast<unsigned>(std::countr_zero(m));
-              vals[lane] = isa::alu_result(instr.op, a[lane], b[lane],
-                                           c[lane],
-                                           cp != nullptr && cp[lane]);
-            }
-          }
+          const bool is_sel = instr.op == Opcode::SEL;
+          const std::uint8_t* cp =
+              is_sel ? pred_slab(w, instr.c.value & (isa::kNumPreds - 1))
+                     : nullptr;
           std::uint32_t* dst = reg_slab(w, instr.dst & (isa::kNumRegs - 1));
-          if (hook) {
-            for (std::uint32_t m = exec; m; m &= m - 1) {
-              const unsigned lane =
-                  static_cast<unsigned>(std::countr_zero(m));
-              ++retired;
-              RetireInfo info;
-              info.instr = &instr;
-              info.pc = pc;
-              info.thread = ThreadId{cta, w, lane, w * kWarpSize + lane};
-              info.dyn_index = retired - 1;
-              info.a = a[lane];
-              info.b = b[lane];
-              info.c = c[lane];
+          // Retires lane `lane`'s result `value` of operands (a, b, c).
+          const auto retire = [&](unsigned lane, std::uint32_t a,
+                                  std::uint32_t b, std::uint32_t c,
+                                  std::uint32_t value) {
+            ++retired;
+            if (hook) {
+              RetireInfo info = retire_info(lane);
+              info.a = a;
+              info.b = b;
+              info.c = c;
               hook->on_count(info);
-              std::uint32_t value = vals[lane];
               hook->on_retire(info, value);
-              dst[lane] = value;
             }
+            dst[lane] = value;
+          };
+          if (!dense) {
+            for_each_lane(exec, [&](unsigned lane) {
+              const std::uint32_t a = operand(instr.a, w, lane);
+              const std::uint32_t b = operand(instr.b, w, lane);
+              const std::uint32_t c = is_sel ? 0 : operand(instr.c, w, lane);
+              retire(lane, a, b, c,
+                     isa::alu_result(instr.op, a, b, c, is_sel && cp[lane]));
+            });
           } else {
-            for (std::uint32_t m = exec; m; m &= m - 1) {
-              const unsigned lane =
-                  static_cast<unsigned>(std::countr_zero(m));
-              dst[lane] = vals[lane];
+            const std::uint32_t* a = gather(instr.a, w, imm_a);
+            const std::uint32_t* b = gather(instr.b, w, imm_b);
+            const std::uint32_t* c =
+                is_sel ? kZeros : gather(instr.c, w, imm_c);
+            isa::alu_lanes(instr.op, a, b, c, cp, vals);
+            if (hook) {
+              for_each_lane(exec, [&](unsigned lane) {
+                retire(lane, a[lane], b[lane], c[lane], vals[lane]);
+              });
+            } else {
+              for_each_lane(exec,
+                            [&](unsigned lane) { dst[lane] = vals[lane]; });
+              retired += static_cast<unsigned>(std::popcount(exec));
             }
-            retired += static_cast<unsigned>(std::popcount(exec));
           }
           top.pc = pc + 1;
           break;
@@ -882,25 +876,16 @@ void Device::run_cta_soa(const isa::Program& prog, const LaunchDims& dims,
       }
       if (warp.stack.empty() || warp.stack.back().mask == 0) {
         warp.done = true;
+        --live;
+        if (warp.at_barrier) --waiting;
       }
 
       if (retired > max_retired) return;  // watchdog
     }
 
-    // Barrier release: every live warp has arrived.
-    if (!all_done && !progressed) {
-      bool any_waiting = false;
-      for (auto& warp : warp_state)
-        any_waiting |= !warp.done && warp.at_barrier;
-      if (!any_waiting) throw Trap("scheduler deadlock");
+    if (waiting != 0 && waiting == live) {
       for (auto& warp : warp_state) warp.at_barrier = false;
-    } else if (!all_done) {
-      // If all non-done warps are at the barrier, release them.
-      bool all_at_bar = true;
-      for (auto& warp : warp_state)
-        if (!warp.done && !warp.at_barrier) all_at_bar = false;
-      if (all_at_bar)
-        for (auto& warp : warp_state) warp.at_barrier = false;
+      waiting = 0;
     }
   }
 }

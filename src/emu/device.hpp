@@ -59,8 +59,9 @@ class InstrumentHook {
   /// Everything the launch produces — memory, retired totals, traps — is
   /// identical either way. A one-shot injection hook uses this to make the
   /// post-fire tail of a trial (on average half of it, all of it for a
-  /// fault-induced hang) run at uninstrumented speed, and a sticky one to
-  /// run everything its fault cannot touch there.
+  /// fault-induced hang) run at uninstrumented speed, a sticky one to run
+  /// everything its fault cannot touch there, and an unfired one every
+  /// instruction it does not count.
   virtual bool done(const isa::Instr* /*next*/) const { return false; }
   /// Called before each CTA runs, with the CTA's position in the device's
   /// run: CTAs are numbered across launches from 0 at construction or the
@@ -125,7 +126,8 @@ enum class Interpreter : std::uint8_t {
   Scalar,  ///< reference: one instruction per lane per step
   /// Structure-of-arrays warp execution: registers and predicates live in
   /// contiguous per-warp lane slabs, an instruction is decoded once per warp
-  /// and all 32 lanes execute in tight branch-free loops.
+  /// and all 32 lanes execute in tight branch-free loops (a warp with fewer
+  /// than half its lanes live steps them one by one).
   SoA,
 };
 

@@ -21,7 +21,8 @@ double bits_double(std::uint64_t b) { return std::bit_cast<double>(b); }
 /// lines before the marker stay in `c`.
 std::string_view split_tail(std::string_view payload, std::string_view marker,
                             kv::Cursor& c) {
-  const std::string needle = "\n" + std::string(marker) + "\n";
+  std::string needle(1, '\n');
+  needle.append(marker).push_back('\n');
   const auto at = payload.find(needle);
   if (at == std::string_view::npos) {
     c.fail("missing " + std::string(marker) + " marker");

@@ -177,7 +177,11 @@ void InjectHook::on_pred_retire(const emu::RetireInfo& info, bool& value) {
 }
 
 bool InjectHook::done(const isa::Instr* next) const {
-  if (!fired_) return false;
+  // Before the shot take_shot returns at once on an instruction that is not
+  // a candidate or not the restricted stratum's opcode: nothing moves.
+  if (!fired_)
+    return next && (!ProfileHook::is_candidate(next->op) ||
+                    (stratum_ && next->op != stratum_->first));
   switch (model_) {
     case FaultModel::SingleBitFlip:
     case FaultModel::DoubleBitFlip:

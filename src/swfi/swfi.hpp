@@ -100,11 +100,13 @@ class InjectHook : public emu::InstrumentHook {
   void on_retire(const emu::RetireInfo& info, std::uint32_t& value) override;
   void on_pred_retire(const emu::RetireInfo& info, bool& value) override;
   /// True once this injector can never fire again (one-shot models after the
-  /// shot, continuation models after they disarm), and for a fired sticky
-  /// fault at every instruction but the one it corrupts: the interpreter
-  /// then runs those at uninstrumented speed. This is what makes a
-  /// fault-induced hang (a corrupted loop counter spinning to the watchdog)
-  /// cost unhooked-execution time instead of per-lane callback time.
+  /// shot, continuation models after they disarm), for a fired sticky fault
+  /// at every instruction but the one it corrupts, and before the shot at
+  /// every instruction it does not count (not a candidate, or not the
+  /// restricted stratum's opcode): the interpreter then runs those at
+  /// uninstrumented speed. This is what makes a fault-induced hang (a
+  /// corrupted loop counter spinning to the watchdog) cost
+  /// unhooked-execution time instead of per-lane callback time.
   bool done(const isa::Instr* next) const override;
   /// Golden-tape replay: until the shot, asks the device to replay every CTA
   /// whose candidates (of the class this hook counts) do not include the

@@ -3,8 +3,8 @@
 // that executes them — same outcome, output words and shot details for
 // every fault model, restricted and unrestricted hooks, and targets on both
 // sides of every CTA boundary — and whole campaigns (fixed and planned)
-// must be identical field for field at jobs 1 and 4. Likewise a sticky
-// trial whose tail runs unhooked away from its instruction.
+// must be identical field for field at jobs 1 and 4. Likewise a trial whose
+// hook runs unhooked at the instructions it cannot count or re-fire on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -237,8 +237,8 @@ TEST(GoldenTape, CampaignsMatchUntapedAtJobs1And4) {
 
 /// Forwards every callback to `inner`, but answers the fast-path query for
 /// the rest of the launch whatever the next instruction is: a hook without
-/// the per-instruction answer, which keeps a fired sticky fault hooked
-/// until its hit cap.
+/// the per-instruction answer, which stays hooked everywhere until its shot
+/// and keeps a fired sticky fault hooked until its cap.
 class WholeLaunchDone : public emu::InstrumentHook {
  public:
   explicit WholeLaunchDone(emu::InstrumentHook& inner) : inner_(inner) {}
@@ -281,49 +281,70 @@ void expect_same_plan(const PlanResult& a, const PlanResult& b,
   }
 }
 
-TEST(GoldenTape, StickyInstructionFilterChangesNoResult) {
-  // A fired sticky hook is done at every instruction its fault cannot
-  // re-fire on, so the interpreters run those unhooked. Fixed and planned
-  // campaigns must match a hook that stays hooked until its cap, on both
-  // interpreters and at jobs 1 and 4. quicksort and gaussian launch two
+class InstructionFilter : public ::testing::TestWithParam<FaultModel> {};
+
+TEST_P(InstructionFilter, ChangesNoResult) {
+  // Before its shot an InjectHook is done at every instruction it does not
+  // count (every opcode but the stratum's, for a restricted hook), and a
+  // fired sticky hook at every instruction its fault cannot re-fire on, so
+  // the interpreters run those unhooked. Trials and fixed and planned
+  // campaigns must match a hook that answers only for the whole launch, on
+  // both interpreters and at jobs 1 and 4. quicksort and gaussian launch two
   // kernels each.
+  const FaultModel model = GetParam();
+  const rtl::FaultModel syndrome_model =
+      model == FaultModel::StickyRelativeError ? rtl::FaultModel::StuckAt1
+                                               : rtl::FaultModel::Transient;
   auto sized = small_apps();
   sized.push_back(apps::make_gaussian(12));
   for (const auto& h : sized) {
     const App whole = without_instruction_filter(h.app);
     const auto golden = detail::run_golden(h.app, emu::Interpreter::SoA);
+    // Unrestricted, and restricted to the largest stratum.
+    auto largest = golden.stratum_before.begin();
+    for (auto it = largest; it != golden.stratum_before.end(); ++it)
+      if (it->second.back() > largest->second.back()) largest = it;
+    const std::optional<Stratum> classes[] = {std::nullopt, largest->first};
     for (const auto interpreter :
          {emu::Interpreter::Scalar, emu::Interpreter::SoA}) {
       const std::string where =
           h.app.name +
           (interpreter == emu::Interpreter::SoA ? " soa" : " scalar");
-      // Trial by trial: the same output words, re-fires and last error.
+      // Trial by trial: every observable of the shot and its outcome.
       emu::Device dev(h.app.device_words);
       dev.set_interpreter(interpreter);
       unsigned most_hits = 0;
-      for (std::uint64_t target = 0; target < golden.candidates;
-           target += golden.candidates / 24 + 1) {
-        const std::string tag = where + " target=" + std::to_string(target);
-        const Trial a = run_trial(h.app, golden, dev,
-                                  FaultModel::StickyRelativeError, target,
-                                  std::nullopt, true);
-        const Trial b = run_trial(whole, golden, dev,
-                                  FaultModel::StickyRelativeError, target,
-                                  std::nullopt, true);
-        expect_same_result(a.shard, b.shard, tag);
-        EXPECT_EQ(a.out, b.out) << tag;
-        EXPECT_EQ(a.corrupted_threads, b.corrupted_threads) << tag;
-        EXPECT_EQ(bits(a.applied_rel_error), bits(b.applied_rel_error))
-            << tag;
-        most_hits = std::max(most_hits, a.corrupted_threads);
+      for (const auto& cls : classes) {
+        const std::uint64_t total =
+            (cls ? golden.stratum_before.at(*cls) : golden.before).back();
+        for (std::uint64_t target = 0; target < total;
+             target += total / 16 + 1) {
+          const std::string tag = where + (cls ? " restricted" : "") +
+                                  " target=" + std::to_string(target);
+          const Trial a = run_trial(h.app, golden, dev, model, target, cls,
+                                    true);
+          const Trial b = run_trial(whole, golden, dev, model, target, cls,
+                                    true);
+          expect_same_result(a.shard, b.shard, tag);
+          EXPECT_EQ(a.out, b.out) << tag;
+          EXPECT_EQ(a.fired, b.fired) << tag;
+          EXPECT_EQ(a.hit_pc, b.hit_pc) << tag;
+          EXPECT_EQ(a.hit_dyn_index, b.hit_dyn_index) << tag;
+          EXPECT_EQ(a.corrupted_threads, b.corrupted_threads) << tag;
+          EXPECT_EQ(bits(a.applied_rel_error), bits(b.applied_rel_error))
+              << tag;
+          most_hits = std::max(most_hits, a.corrupted_threads);
+        }
       }
-      EXPECT_GT(most_hits, 1u) << where << " never re-fired";
+      if (model == FaultModel::StickyRelativeError) {
+        EXPECT_GT(most_hits, 1u) << where << " never re-fired";
+      }
 
       for (const unsigned jobs : {1u, 4u}) {
         Config cfg;
-        cfg.model = FaultModel::StickyRelativeError;
+        cfg.model = model;
         cfg.db = &db();
-        cfg.syndrome_model = rtl::FaultModel::StuckAt1;
+        cfg.syndrome_model = syndrome_model;
         cfg.n_injections = 48;
         cfg.seed = 5;
         cfg.jobs = jobs;
@@ -341,6 +362,20 @@ TEST(GoldenTape, StickyInstructionFilterChangesNoResult) {
     }
   }
 }
+
+std::string model_token(const ::testing::TestParamInfo<FaultModel>& info) {
+  switch (info.param) {
+    case FaultModel::SingleBitFlip: return "bitflip";
+    case FaultModel::DoubleBitFlip: return "doublebit";
+    case FaultModel::RelativeError: return "syndrome";
+    case FaultModel::WarpRelativeError: return "warp";
+    case FaultModel::StickyRelativeError: return "sticky";
+  }
+  return "unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, InstructionFilter,
+                         ::testing::ValuesIn(kModels), model_token);
 
 }  // namespace
 }  // namespace gpufi::swfi
